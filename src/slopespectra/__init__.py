@@ -6,7 +6,7 @@ tolerance-governed floats.  All types are immutable and all operations are
 pure, so everything is safe for concurrent use.
 """
 
-from .scalars import Backend, EXACT, exact_backend, float_backend
+from .scalars import Backend, EXACT, float_backend
 from .geometry import (
     Configuration,
     Direction,

@@ -3,8 +3,10 @@
 Subcommands: analyze, verify, generate, render, case.  Exit codes are
 stable: 0 for success (verify: certificate), 3 for a refutation or a
 report-level precondition refusal, 1 for input or parse errors, 2 for
-usage errors (argparse).  SLOPESPECTRA_EPS overrides the default float
-tolerance when --eps is not given.
+usage errors (argparse).  verify with several files reports every file,
+an unreadable one as a report with an "error" verdict, and exits 1 if any
+file errored, else 3 if any was refuted, else 0.  SLOPESPECTRA_EPS
+overrides the default float tolerance when --eps is not given.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import report as rep
-from .errors import SlopeSpectraError
+from .errors import ParseError, SlopeSpectraError
 from .generators import GeneratorSpec
 from .geometry import Configuration
 from .pointfile import _parse_token, parse_point_text, serialize_points
@@ -25,7 +28,7 @@ from .regularity import AffineMap
 from .render import render_svg
 from .scalars import DEFAULT_EPS_REL, EXACT, float_backend
 from .slopes import classify_criticality, forbidden_slope_table, slope_spectrum
-from .verifier import Certificate, classify_proof_case, verify_theorem
+from .verifier import classify_proof_case, verify_theorem
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,7 +57,11 @@ def _resolve_backend(args):
 
 def _load(path: str, args) -> tuple[Configuration, str]:
     data = Path(path).read_bytes()
-    config = parse_point_text(data.decode(), _resolve_backend(args), args.eps)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(data[:exc.start].count(b"\n") + 1, "not UTF-8 text") from exc
+    config = parse_point_text(text, _resolve_backend(args), args.eps)
     return config, rep.input_digest(data)
 
 
@@ -92,33 +99,36 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(path: str, args) -> tuple[dict, bool]:
+def _verify_one(path: str, args) -> dict:
+    """The verify report of one file; an unreadable file gets an error verdict."""
     t0 = time.perf_counter()
-    config, digest = _load(path, args)
-    verdict = verify_theorem(config)
-    payload = {"n": len(config), "file": path, "verdict": rep.verdict_json(verdict)}
-    report = rep.build_report("verify", config.backend.kind, config.backend.eps_rel,
-                              digest, payload, (time.perf_counter() - t0) * 1e3)
-    return report, isinstance(verdict, Certificate)
-
-
-def _verify_worker(item):
-    path, args = item
-    return _verify_one(path, args)
+    try:
+        config, digest = _load(path, args)
+        payload = {"n": len(config), "file": path,
+                   "verdict": rep.verdict_json(verify_theorem(config))}
+        kind, eps = config.backend.kind, config.backend.eps_rel
+    except (SlopeSpectraError, OSError) as exc:
+        digest, kind, eps = None, args.backend, args.eps
+        payload = {"file": path,
+                   "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
+    return rep.build_report("verify", kind, eps, digest, payload,
+                            (time.perf_counter() - t0) * 1e3)
 
 
 def cmd_verify(args) -> int:
-    items = [(path, args) for path in args.files]
-    if args.jobs > 1 and len(items) > 1:
+    verify = partial(_verify_one, args=args)
+    if args.jobs > 1 and len(args.files) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_worker, items))
+            results = list(pool.map(verify, args.files))
     else:
-        results = [_verify_one(path, args) for path, args in items]
-    all_ok = True
-    for report, ok in results:
+        results = [verify(path) for path in args.files]
+    kinds = set()
+    for report in results:
         _emit(report, args)
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_REFUTED
+        kinds.add(report["payload"]["verdict"]["kind"])
+    if "error" in kinds:
+        return EXIT_ERROR
+    return EXIT_REFUTED if "refutation" in kinds else EXIT_OK
 
 
 def _parse_affine(text: str) -> AffineMap:

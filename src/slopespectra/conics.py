@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BackendMismatch,
     CollinearTriple,
@@ -32,11 +30,12 @@ from .errors import (
     SingularPoint,
 )
 from .geometry import (
+    Configuration,
     Direction,
     Point,
     direction,
     direction_from_vector,
-    orientation,
+    is_general_position,
     points_equal,
     segments_parallel,
 )
@@ -70,10 +69,10 @@ def _normalize_coeffs(raw, backend: Backend):
     return tuple(vals)
 
 
-def _det3_terms(a, b, c, d, e, f):
+def _det3_terms(backend: Backend, a, b, c, d, e, f):
     # symmetric matrix [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]],
     # cofactor expansion kept as a term list for tolerance scaling
-    half = Fraction(1, 2) if isinstance(a, (int, Fraction)) else 0.5
+    half = backend.coerce(Fraction(1, 2))
     b2, d2, e2 = b * half, d * half, e * half
     return [
         a * c * f,
@@ -96,16 +95,13 @@ class Conic:
     @classmethod
     def from_coeffs(cls, raw, backend: Backend) -> "Conic":
         coeffs = _normalize_coeffs(raw, backend)
-        degenerate = backend.sum_is_zero(_det3_terms(*coeffs))
+        degenerate = backend.sum_is_zero(_det3_terms(backend, *coeffs))
         return cls(coeffs, backend, degenerate)
 
     def terms_at(self, p: Point) -> list:
         a, b, c, d, e, f = self.coeffs
         x, y = p.x, p.y
         return [a * x * x, b * x * y, c * y * y, d * x, e * y, f]
-
-    def evaluate(self, p: Point):
-        return sum(self.terms_at(p))
 
     def gradient(self, p: Point) -> tuple:
         a, b, c, d, e, _ = self.coeffs
@@ -118,27 +114,22 @@ def is_on_conic(conic: Conic, p: Point) -> bool:
     return conic.backend.sum_is_zero(conic.terms_at(p))
 
 
-def _incidence_row(p: Point):
-    x, y = p.x, p.y
-    return [x * x, x * y, y * y, x, y, 1 if isinstance(x, (int, Fraction)) else 1.0]
+def _incidence_row(p: Point) -> list[Fraction]:
+    # exact on both backends: a float coordinate has an exact Fraction image
+    x, y = Fraction(p.x), Fraction(p.y)
+    return [x * x, x * y, y * y, x, y, Fraction(1)]
 
 
-def _check_distinct_no3collinear(points, backend: Backend):
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points_equal(points[i], points[j], backend):
-                raise DuplicatePoints(i, j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k], backend) == 0:
-                    raise CollinearTriple((i, j, k))
+def _check_general_position(points, backend: Backend) -> None:
+    """Raise DuplicatePoints or CollinearTriple for the first witness."""
+    gp, witness = is_general_position(Configuration(tuple(points), backend))
+    if not gp:
+        raise CollinearTriple(witness)
 
 
 def _exact_nullvector(rows):
     """One nonzero kernel vector of a 5x6 exact matrix of rank 5."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    m = list(rows)
     pivots = []
     r = 0
     for col in range(6):
@@ -167,43 +158,40 @@ def _exact_nullvector(rows):
 
 
 def conic_through_5(points, backend: Backend) -> Conic:
-    """The unique conic through five points, no three collinear."""
+    """The unique conic through five points, no three collinear.
+
+    Both backends fit by exact elimination on the Fraction images of the
+    coordinates; the float backend rounds only the final coefficients.
+    """
     points = list(points)
     if len(points) != 5:
         raise DegenerateInput(f"need exactly 5 points, got {len(points)}")
-    _check_distinct_no3collinear(points, backend)
-    rows = [_incidence_row(p) for p in points]
-    if backend.exact:
-        coeffs = _exact_nullvector(rows)
-        return Conic.from_coeffs(coeffs, backend)
-    mat = np.array(rows, dtype=float)
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    if s[-1] <= backend.eps_rel * s[0]:
-        raise RankDeficient("five points do not determine a unique conic")
-    return Conic.from_coeffs(vt[-1], backend)
+    _check_general_position(points, backend)
+    coeffs = _exact_nullvector([_incidence_row(p) for p in points])
+    top = max(abs(v) for v in coeffs)  # keeps the float images in range
+    return Conic.from_coeffs([v / top for v in coeffs], backend)
 
 
 def coconic_determinant(points, backend: Backend):
-    """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1)."""
-    rows = [_incidence_row(p) for p in points]
-    if backend.exact:
-        m = [[Fraction(v) for v in row] for row in rows]
-        det = Fraction(1)
-        for col in range(6):
-            pr = next((i for i in range(col, 6) if m[i][col] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            if pr != col:
-                m[col], m[pr] = m[pr], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for i in range(col + 1, 6):
-                if m[i][col] != 0:
-                    factor = m[i][col] * inv
-                    m[i] = [vi - factor * vc for vi, vc in zip(m[i], m[col])]
-        return det
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1),
+    computed exactly; a float on the float backend."""
+    m = [_incidence_row(p) for p in points]
+    det = Fraction(1)
+    for col in range(6):
+        pr = next((i for i in range(col, 6) if m[i][col] != 0), None)
+        if pr is None:
+            det = Fraction(0)
+            break
+        if pr != col:
+            m[col], m[pr] = m[pr], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, 6):
+            if m[i][col] != 0:
+                factor = m[i][col] * inv
+                m[i] = [vi - factor * vc for vi, vc in zip(m[i], m[col])]
+    return det if backend.exact else float(det)
 
 
 def coconic_6(points, backend: Backend) -> bool:
@@ -215,8 +203,7 @@ def coconic_6(points, backend: Backend) -> bool:
     if backend.exact:
         return det == 0
     # scale-aware zero test via the Hadamard bound on the determinant
-    rows = np.array([_incidence_row(p) for p in points], dtype=float)
-    bound = float(np.prod(np.linalg.norm(rows, axis=1)))
+    bound = math.prod(math.hypot(*map(float, _incidence_row(p))) for p in points)
     return abs(det) <= backend.eps_rel * max(1.0, bound)
 
 
@@ -239,7 +226,7 @@ def second_intersection(conic: Conic, p: Point, d: Direction) -> Point:
     a, b, c, dd, e, _ = conic.coeffs
     backend = conic.backend
     dx, dy = d.dx, d.dy
-    if backend.exact and not isinstance(dx, (int, Fraction)):
+    if backend.exact and not d.exact:
         raise BackendMismatch("direction backend does not match conic backend")
     x0, y0 = p.x, p.y
     alpha_terms = [a * dx * dx, b * dx * dy, c * dy * dy]
@@ -351,7 +338,7 @@ def pascal_parallel_coconic(points, backend: Backend):
     if len(points) != 6:
         raise DegenerateInput(f"need exactly 6 points, got {len(points)}")
     try:
-        _check_distinct_no3collinear(points, backend)
+        _check_general_position(points, backend)
     except (DuplicatePoints, CollinearTriple) as exc:
         raise DegenerateInput(str(exc)) from exc
     for (i1, j1), (i2, j2), label in _PASCAL_CONDITIONS:

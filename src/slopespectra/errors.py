@@ -21,6 +21,9 @@ class DuplicatePoints(SlopeSpectraError):
         self.indices = (i, j)
         super().__init__(f"points {i} and {j} coincide")
 
+    def __reduce__(self):
+        return type(self), self.indices
+
 
 class TooFewPoints(SlopeSpectraError):
     """The operation needs more points than the configuration has."""
@@ -45,6 +48,9 @@ class NotConvexPosition(SlopeSpectraError):
         self.index = index
         super().__init__(f"point {index} lies strictly inside the convex hull")
 
+    def __reduce__(self):
+        return type(self), (self.index,)
+
 
 class IndexOrder(SlopeSpectraError):
     """Indices violate the required strict order i < j < k."""
@@ -63,10 +69,14 @@ class CollinearTriple(SlopeSpectraError):
         self.witness = witness
         super().__init__(f"collinear triple at indices {witness}")
 
+    def __reduce__(self):
+        return type(self), (self.witness,)
+
 
 class RankDeficient(SlopeSpectraError):
-    """The conic incidence system does not determine a unique conic
-    (approximate backend only)."""
+    """The conic incidence system does not determine a unique conic: its
+    exact elimination, which fits the conics of both backends, found rank
+    below 5."""
 
 
 class DegenerateConic(SlopeSpectraError):
@@ -114,7 +124,11 @@ class ParseError(SlopeSpectraError):
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
+        self.message = message
         super().__init__(f"line {line_no}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.message)
 
 
 class InvalidSpec(SlopeSpectraError):

@@ -152,10 +152,6 @@ class Configuration:
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     def reordered(self, order: Sequence[int]) -> "Configuration":
         return Configuration(tuple(self.points[i] for i in order), self.backend)
 

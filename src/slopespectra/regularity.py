@@ -65,6 +65,16 @@ class AffineMap:
         return Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
 
 
+def _cyclic_chain_failures(points: Sequence[Point], backend: Backend) -> list[int]:
+    """Every cyclic j, ascending, where P_{j+1}P_{j+2} is not parallel to P_j P_{j+3}."""
+    n = len(points)
+    return [
+        j for j in range(n)
+        if not segments_parallel(points[(j + 1) % n], points[(j + 2) % n],
+                                 points[j], points[(j + 3) % n], backend)
+    ]
+
+
 def korchmaros_chain(points: Sequence[Point], backend: Backend,
                      cyclic: bool = True) -> tuple[bool, Optional[int]]:
     """Whether P_{j+1}P_{j+2} || P_j P_{j+3} for every applicable j.
@@ -75,12 +85,10 @@ def korchmaros_chain(points: Sequence[Point], backend: Backend,
     n = len(points)
     if n < 4:
         raise TooFewPoints(f"need at least 4 points, got {n}")
-    js = range(n) if cyclic else range(n - 3)
-    for j in js:
-        if not segments_parallel(points[(j + 1) % n], points[(j + 2) % n],
-                                 points[j], points[(j + 3) % n], backend):
-            return False, j
-    return True, None
+    fails = _cyclic_chain_failures(points, backend)
+    if not cyclic:
+        fails = [j for j in fails if j < n - 3]
+    return not fails, fails[0] if fails else None
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ def solve_affine_map(src: Sequence[Point], dst: Sequence[Point],
         raise CollinearSource("need exactly three source and destination points")
     if orientation(src[0], src[1], src[2], backend) == 0:
         raise CollinearSource("source triple is collinear")
-    one = Fraction(1) if backend.exact else 1.0
+    one = backend.coerce(1)
     m = [[p.x, p.y, one] for p in src]
     a, b, tx = _solve3(m, [q.x for q in dst], backend)
     c, d, ty = _solve3(m, [q.y for q in dst], backend)

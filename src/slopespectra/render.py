@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .conics import Conic, conic_through_5
 from .errors import RenderTooLarge, SlopeSpectraError
 from .geometry import Configuration, Direction, direction_from_vector, directions_parallel
@@ -61,17 +59,20 @@ def _segment(frame: _Frame, p, q, stroke: str, dash: str, cls: str) -> str:
 
 
 def _conic_ellipse_params(conic: Conic):
+    """Centre, semi-axes and major-axis angle of the ellipse
+    (p - centre)^T M (p - centre) = k, M = [[a, b/2], [b/2, c]]; closed form."""
     a, b, c, d, e, f = (float(v) for v in conic.coeffs)
-    m33 = np.array([[a, b / 2], [b / 2, c]])
-    mq = np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
-    center = np.linalg.solve(m33, [-d / 2, -e / 2])
-    evals, evecs = np.linalg.eigh(m33)
-    k = -np.linalg.det(mq) / np.linalg.det(m33)
-    if k <= 0 or any(ev <= 0 for ev in k / evals):
+    h = b / 2
+    det2 = a * c - h * h
+    cx = (e * h - c * d) / (2 * det2)
+    cy = (d * h - a * e) / (2 * det2)
+    k = -(f + (d * cx + e * cy) / 2)
+    hi = (a + c) / 2 + math.hypot((a - c) / 2, h)
+    if k <= 0 or hi <= 0:
         raise SlopeSpectraError("not an ellipse")
-    r1, r2 = np.sqrt(k / evals)
-    theta = math.atan2(evecs[1, 0], evecs[0, 0])
-    return center[0], center[1], r1, r2, theta
+    lo = det2 / hi  # the product of the eigenvalues is det2
+    theta = math.atan2(-b, c - a) / 2
+    return cx, cy, math.sqrt(k / lo), math.sqrt(k / hi), theta
 
 
 def _conic_svg(conic: Conic, frame: _Frame) -> str:
@@ -80,7 +81,7 @@ def _conic_svg(conic: Conic, frame: _Frame) -> str:
     if disc < 0:
         try:
             cx, cy, r1, r2, theta = _conic_ellipse_params(conic)
-        except (SlopeSpectraError, np.linalg.LinAlgError):
+        except SlopeSpectraError:
             return _conic_path(conic, frame)
         sx, sy = frame.to_svg(cx, cy)
         # y flip negates the rotation angle

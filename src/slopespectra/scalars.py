@@ -95,11 +95,6 @@ class Backend:
 EXACT = Backend(RATIONAL)
 
 
-def exact_backend() -> Backend:
-    """The exact-rational backend (stateless; shared instance)."""
-    return EXACT
-
-
 def float_backend(eps_rel: float = DEFAULT_EPS_REL,
                   eps_angle: float | None = None) -> Backend:
     """A float backend with the given relative tolerance."""

@@ -43,13 +43,6 @@ class SlopeSpectrum:
     def count(self) -> int:
         return len(self.classes)
 
-    def class_of_pair(self, i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        for ci, cls in enumerate(self.classes):
-            if key in cls.pairs:
-                return ci
-        raise KeyError(key)
-
 
 @dataclass(frozen=True)
 class ForbiddenSlopeTable:

@@ -36,7 +36,7 @@ from .geometry import (
     points_equal,
     segments_parallel,
 )
-from .regularity import korchmaros_chain
+from .regularity import _cyclic_chain_failures, korchmaros_chain
 from .slopes import forbidden_slopes_at, slope_spectrum
 
 
@@ -74,15 +74,6 @@ class Refutation:
 
 
 TheoremVerdict = Certificate | Refutation
-
-
-def _cyclic_chain_failures(pts, backend) -> list[int]:
-    n = len(pts)
-    return [
-        j for j in range(n)
-        if not segments_parallel(pts[(j + 1) % n], pts[(j + 2) % n],
-                                 pts[j], pts[(j + 3) % n], backend)
-    ]
 
 
 def _locate_gap(failures: list[int], n: int) -> Optional[int]:
@@ -190,15 +181,18 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
         gen = pts[(gap + 2) % n]
         group = ConicGroup(conic, base)
         residues_by_pos = {(gap + 1 + t) % n: t for t in range(n)}
+        multiples = []  # multiples[t] = t*x
         for pos, t in residues_by_pos.items():
-            if not points_equal(group.scalar_mul(t, gen), pts[pos], b):
+            multiples.append(group.scalar_mul(t, gen))
+            if not points_equal(multiples[t], pts[pos], b):
                 return Refutation(Stage.RECONSTRUCTION,
                                   f"hull point {pos} does not equal {t} times the generator",
                                   pos)
         if not points_equal(group.scalar_mul(n + 1, gen), base, b):
             return Refutation(Stage.RECONSTRUCTION, "generator does not have order n+1")
         for j in range(1, n + 1):
-            if points_equal(group.scalar_mul(j, gen), base, b):
+            jx = multiples[j] if j < n else group.scalar_mul(n, gen)
+            if points_equal(jx, base, b):
                 return Refutation(Stage.RECONSTRUCTION,
                                   f"generator has order {j} < n+1", j)
     except SlopeSpectraError as exc:

@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import slopespectra
 
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
 
@@ -88,6 +94,30 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.count("command: verify") == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_file_keeps_other_reports(self, instance_file, tmp_path, capsys, jobs):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 0\n1 0\n0 0\n2 3\n")
+        code, out, _ = run(capsys, "verify", instance_file, str(bad), "--json",
+                           "--jobs", jobs)
+        assert code == EXIT_ERROR
+        # indented JSON: each report ends with a "}" line of its own
+        docs = [json.loads(doc + "}") for doc in out.split("\n}\n") if doc.strip()]
+        verdicts = {d["payload"]["file"]: d["payload"]["verdict"] for d in docs}
+        assert verdicts[instance_file]["kind"] == "certificate"
+        assert verdicts[str(bad)] == {"kind": "error",
+                                      "error": "DuplicatePoints: points 0 and 2 coincide"}
+
+    def test_refutation_outranked_only_by_error(self, instance_file, tmp_path, capsys):
+        octagon = tmp_path / "octagon.txt"
+        main(["generate", "--polygon", "8"])
+        octagon.write_text(capsys.readouterr().out)
+        code, _, _ = run(capsys, "verify", instance_file, str(octagon))
+        assert code == EXIT_REFUTED
+        code, out, _ = run(capsys, "verify", str(octagon), str(tmp_path / "missing.txt"))
+        assert code == EXIT_ERROR
+        assert "payload.verdict.error: FileNotFoundError" in out
+
 
 class TestAnalyze:
     def test_square_report(self, tmp_path, capsys):
@@ -106,6 +136,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_ERROR
         assert "ParseError" in err
+
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 0\n1 0 # caf\xe9\n1 1\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_ERROR
+        assert "ParseError: line 2: not UTF-8 text" in err
 
     def test_backend_flag_coerces(self, tmp_path, capsys):
         path = tmp_path / "ints.txt"
@@ -167,6 +204,16 @@ class TestRender:
         _, a, _ = run(capsys, "render", instance_file, "--highlight", "parallel all")
         _, b, _ = run(capsys, "render", instance_file, "--highlight", "parallel all")
         assert a == b
+
+
+class TestImports:
+    def test_no_numpy_needed(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(slopespectra.__file__).parents[1])}
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "import slopespectra.cli, slopespectra.render")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEnvEps:

@@ -1,9 +1,12 @@
 """SVG output: structure and determinism."""
 
+import math
+
 import pytest
 
-from slopespectra import Configuration, EXACT, render_svg
+from slopespectra import Conic, Configuration, EXACT, float_backend, render_svg
 from slopespectra.errors import RenderTooLarge
+from slopespectra.render import _conic_ellipse_params
 from slopespectra.generators import delete_vertices, regular_polygon
 
 from conftest import exact_config, parabola_config
@@ -59,3 +62,30 @@ class TestRenderStructure:
         big = Configuration.from_coords(coords, EXACT)
         with pytest.raises(RenderTooLarge):
             render_svg(big)
+
+
+def off_mod_pi(angle, target):
+    """Distance between two axis angles, which are defined modulo pi."""
+    r = (angle - target) % math.pi
+    return min(r, math.pi - r)
+
+
+class TestEllipseParams:
+    def test_axis_aligned(self):
+        # 4(x-1)^2 + 9(y+2)^2 = 36: centre (1, -2), semi-axes 3 along x and 2
+        conic = Conic.from_coeffs((4, 0, 9, -8, 36, 4), EXACT)
+        cx, cy, r1, r2, theta = _conic_ellipse_params(conic)
+        assert (cx, cy, r1, r2) == pytest.approx((1, -2, 3, 2), abs=1e-12)
+        assert off_mod_pi(theta, 0) <= 1e-12
+
+    def test_rotated(self):
+        x0, y0, ra, rb, phi = 1.5, -0.5, 3.0, 2.0, math.pi / 6
+        cs, sn = math.cos(phi), math.sin(phi)
+        a = cs * cs / ra ** 2 + sn * sn / rb ** 2
+        b = 2 * cs * sn * (1 / ra ** 2 - 1 / rb ** 2)
+        c = sn * sn / ra ** 2 + cs * cs / rb ** 2
+        coeffs = (a, b, c, -2 * a * x0 - b * y0, -b * x0 - 2 * c * y0,
+                  a * x0 * x0 + b * x0 * y0 + c * y0 * y0 - 1)
+        cx, cy, r1, r2, theta = _conic_ellipse_params(Conic.from_coeffs(coeffs, float_backend()))
+        assert (cx, cy, r1, r2) == pytest.approx((x0, y0, ra, rb), abs=1e-9)
+        assert off_mod_pi(theta, phi) <= 1e-9

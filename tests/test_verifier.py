@@ -96,6 +96,12 @@ class TestCertificates:
             assert slope_spectrum(img).count == 8
             assert isinstance(verify_theorem(img), Certificate)
 
+    @pytest.mark.parametrize("m,seed", [(32, 20), (91, 1), (91, 2), (91, 3), (91, 4)])
+    def test_larger_affine_images_certify(self, m, seed):
+        # a conic fitted in floating point drifted far enough to fail these
+        img = apply_affine(gon_minus(m, seed % m), random_affine_map(seed))
+        assert isinstance(verify_theorem(img), Certificate)
+
 
 class TestRefutations:
     def test_size(self):
