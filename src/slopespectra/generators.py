@@ -30,7 +30,7 @@ from .errors import (
     PolygonTooSmall,
     TooFewRemaining,
 )
-from .geometry import Configuration, Point, orientation
+from .geometry import Configuration, Point, direction_key, orientation
 from .regularity import AffineMap
 from .scalars import Backend, EXACT, float_backend
 
@@ -127,12 +127,23 @@ def perturb(config: Configuration, delta, seed: int) -> Configuration:
     return Configuration.from_coords(coords, b)
 
 
-def _has_collinear_with(pts, candidate, backend) -> bool:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if orientation(pts[i], pts[j], candidate, backend) == 0:
-                return True
-    return False
+def _directions_if_free(pts, dirs, cand) -> Optional[list[tuple[int, int]]]:
+    """The directions from each accepted point to the candidate, or None when
+    it repeats a point or lies on a line through two of them.
+
+    dirs[i] holds the directions from pts[i] to the other accepted points;
+    cand is on the line through pts[i] and pts[j] iff its direction from
+    pts[i] is in dirs[i], so the test is O(len(pts)).
+    """
+    if any(p == cand for p in pts):
+        return None
+    keys = []
+    for p, seen in zip(pts, dirs):
+        key = direction_key(cand.x - p.x, cand.y - p.y)
+        if key in seen:
+            return None
+        keys.append(key)
+    return keys
 
 
 def random_general_position(n: int, seed: int, bound: int = 1000,
@@ -142,16 +153,19 @@ def random_general_position(n: int, seed: int, bound: int = 1000,
         raise TooFewRemaining(f"need n >= 3, got {n}")
     rng = SplitMix64(seed)
     pts: list[Point] = []
+    dirs: list[set[tuple[int, int]]] = []
     tries = 0
     while len(pts) < n:
         if tries >= max_tries:
             raise GenerationExhausted(f"no general-position configuration after {max_tries} draws")
         tries += 1
         cand = Point(rng.fraction(bound), rng.fraction(bound))
-        if any(p == cand for p in pts):
+        keys = _directions_if_free(pts, dirs, cand)
+        if keys is None:
             continue
-        if _has_collinear_with(pts, cand, EXACT):
-            continue
+        for seen, key in zip(dirs, keys):
+            seen.add(key)
+        dirs.append(set(keys))
         pts.append(cand)
     return Configuration(tuple(pts), EXACT)
 
@@ -267,6 +281,11 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000,
         raise TooFewRemaining(f"need n >= 4, got {n}")
     outer = random_general_position(n - 1, seed, bound)
     pts = list(outer.points)
+    dirs: list[set[tuple[int, int]]] = [set() for _ in pts]
+    for key, pairs in outer.direction_classes:
+        for i, j in pairs:
+            dirs[i].add(key)
+            dirs[j].add(key)
     rng = SplitMix64(seed ^ 0x9E3779B97F4A7C15)
     # a strict convex combination of any three non-collinear points lies
     # strictly inside the hull
@@ -278,9 +297,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000,
         if w3 <= 0:
             continue
         cand = Point(w1 * a.x + w2 * b.x + w3 * c.x, w1 * a.y + w2 * b.y + w3 * c.y)
-        if any(p == cand for p in pts):
-            continue
-        if _has_collinear_with(pts, cand, EXACT):
+        if _directions_if_free(pts, dirs, cand) is None:
             continue
         return Configuration(tuple(pts) + (cand,), EXACT)
     raise GenerationExhausted(f"no interior point found after {max_tries} attempts")

@@ -5,6 +5,10 @@ exact backend an integer-primitive pair (dx, dy) with dx > 0 (or dx = 0,
 dy > 0); on the float backend a unit vector whose angle lies in [0, pi).
 Two directions are parallel iff their cross product is (tolerance-)zero.
 
+On the exact backend a configuration hashes every pair once by its
+canonical integer direction (`Configuration.direction_classes`), and the
+collinearity test reads that table; the float path tests triples.
+
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
 """
@@ -14,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    BackendMismatch,
     CoincidentPoints,
     DuplicatePoints,
     NotConvexPosition,
@@ -58,16 +64,28 @@ class Direction:
         return f"angle={self.angle:.12g}"
 
 
-def _canonical_int_pair(dx: Fraction, dy: Fraction) -> tuple[int, int]:
-    den = math.lcm(dx.denominator, dy.denominator)
-    ix = int(dx * den)
-    iy = int(dy * den)
-    g = math.gcd(abs(ix), abs(iy))
+def _primitive(ix: int, iy: int) -> tuple[int, int]:
+    """The primitive integer vector parallel to the nonzero (ix, iy), with
+    dx > 0, or dx = 0 and dy > 0."""
+    g = math.gcd(ix, iy)
     ix //= g
     iy //= g
     if ix < 0 or (ix == 0 and iy < 0):
-        ix, iy = -ix, -iy
+        return -ix, -iy
     return ix, iy
+
+
+def direction_key(dx: Fraction, dy: Fraction) -> tuple[int, int]:
+    """The canonical integer pair of the nonzero rational vector (dx, dy)."""
+    den = math.lcm(dx.denominator, dy.denominator)
+    return _primitive(dx.numerator * (den // dx.denominator),
+                      dy.numerator * (den // dy.denominator))
+
+
+def integer_direction(key: tuple[int, int]) -> Direction:
+    """The exact Direction of a canonical integer pair."""
+    ix, iy = key
+    return Direction(ix, iy, exact=True, angle=math.atan2(iy, ix) % math.pi)
 
 
 def direction_from_vector(dx, dy, backend: Backend) -> Direction:
@@ -76,8 +94,7 @@ def direction_from_vector(dx, dy, backend: Backend) -> Direction:
         fx, fy = Fraction(dx), Fraction(dy)
         if fx == 0 and fy == 0:
             raise CoincidentPoints("zero vector has no direction")
-        ix, iy = _canonical_int_pair(fx, fy)
-        return Direction(ix, iy, exact=True, angle=math.atan2(iy, ix) % math.pi)
+        return integer_direction(direction_key(fx, fy))
     fx, fy = float(dx), float(dy)
     if fx == 0.0 and fy == 0.0:
         raise CoincidentPoints("zero vector has no direction")
@@ -158,15 +175,47 @@ class Configuration:
     def subset(self, indices: Sequence[int]) -> "Configuration":
         return Configuration(tuple(self.points[i] for i in indices), self.backend)
 
+    @cached_property
+    def direction_classes(self) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]:
+        """Exact backend: (canonical integer direction, the pairs (i, j) with
+        i < j whose segment has it), sorted by direction; each class lists
+        its pairs in lexicographic order.
+
+        One O(n^2) pass, cached on the configuration.  The points are first
+        scaled by the lcm of all denominators onto one integer grid, which
+        changes no direction, so each pair costs one gcd.
+        """
+        if not self.backend.exact:
+            raise BackendMismatch("direction classes need the exact backend")
+        pts = self.points
+        scale = math.lcm(*(v.denominator for p in pts for v in p))
+        grid = [(p.x.numerator * (scale // p.x.denominator),
+                 p.y.numerator * (scale // p.y.denominator)) for p in pts]
+        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, (xi, yi) in enumerate(grid):
+            for j in range(i + 1, len(grid)):
+                xj, yj = grid[j]
+                classes.setdefault(_primitive(xj - xi, yj - yi), []).append((i, j))
+        return tuple((key, tuple(classes[key])) for key in sorted(classes))
+
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Whether no three points are collinear.
 
     On failure, also returns the lexicographically first collinear triple.
+    The exact backend reads `direction_classes`, one O(n^2) hashing pass:
+    (i, j, k) is collinear iff the pairs (i, j) and (i, k) share a class,
+    and for the first triple they are adjacent in it.  The float backend tests
+    every triple with `orientation`, O(n^3).
     """
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    if config.backend.exact:
+        first = min(((i, j, k) for _, pairs in config.direction_classes
+                     for (i, j), (i2, k) in zip(pairs, pairs[1:]) if i == i2),
+                    default=None)
+        return first is None, first
     pts = config.points
     b = config.backend
     for i in range(n):

@@ -1,16 +1,22 @@
 """Slope spectra, forbidden slopes, and the convex-chord dichotomy.
 
 The slope spectrum of a configuration is the partition of all point pairs
-into parallelism classes.  On the exact backend classes are keyed by the
-canonical integer direction pair; on the float backend all pair angles in
-[0, pi) are sorted and adjacent angles within eps_angle are merged, with the
-pi/0 wraparound pair merged explicitly.  Merging is adjacency-based, not
-transitively closed beyond the sorted order, which keeps the output
-deterministic for a given input.
+into parallelism classes.  On the exact backend the classes are the
+configuration's `direction_classes`, one O(n^2) pass that hashes every pair
+by its canonical integer direction, computed once per configuration and
+shared with the general-position test.  On the float backend all pair
+angles in [0, pi) are sorted and adjacent angles within eps_angle are
+merged, with the pi/0 wraparound pair merged explicitly.  Merging is
+adjacency-based, not transitively closed beyond the sorted order, which
+keeps the output deterministic for a given input.
+
+Forbidden slopes are read from each class's vertex set, so the whole table
+takes time proportional to its size plus the number of pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +25,7 @@ from .geometry import (
     Configuration,
     Direction,
     direction,
+    integer_direction,
     is_general_position,
     orientation,
     segments_parallel,
@@ -57,22 +64,11 @@ def slope_spectrum(config: Configuration) -> SlopeSpectrum:
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     b = config.backend
-    pts = config.points
     if b.exact:
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        reps: dict[tuple[int, int], Direction] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = direction(pts[i], pts[j], b)
-                key = (d.dx, d.dy)
-                groups.setdefault(key, []).append((i, j))
-                reps.setdefault(key, d)
-        classes = tuple(
-            SlopeClass(reps[key], tuple(groups[key]))
-            for key in sorted(groups)
-        )
-        return SlopeSpectrum(classes)
+        return SlopeSpectrum(tuple(SlopeClass(integer_direction(key), pairs)
+                                   for key, pairs in config.direction_classes))
 
+    pts = config.points
     items = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -86,8 +82,6 @@ def slope_spectrum(config: Configuration) -> SlopeSpectrum:
         else:
             groups_f.append([item])
     # explicit pi/0 wraparound: the last group may continue into the first
-    import math
-
     if len(groups_f) > 1:
         gap = groups_f[0][0][0] + math.pi - groups_f[-1][-1][0]
         if gap <= b.eps_angle:
@@ -101,21 +95,35 @@ def slope_spectrum(config: Configuration) -> SlopeSpectrum:
     return SlopeSpectrum(tuple(classes_f))
 
 
+def _vertices(cls: SlopeClass) -> set[int]:
+    """The point indices that some segment of the class touches."""
+    return {v for pair in cls.pairs for v in pair}
+
+
 def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) -> list[Direction]:
     """Spectrum directions not realized by any segment incident to point i."""
     if not 0 <= i < len(config):
         raise IndexError(f"point index {i} out of range")
-    out = []
-    for cls in spectrum.classes:
-        if not any(i in pair for pair in cls.pairs):
-            out.append(cls.direction)
-    return out
+    return [cls.direction for cls in spectrum.classes if i not in _vertices(cls)]
 
 
 def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> ForbiddenSlopeTable:
-    return ForbiddenSlopeTable(
-        tuple(tuple(forbidden_slopes_at(config, spectrum, i)) for i in range(len(config)))
-    )
+    vertex_sets = [_vertices(cls) for cls in spectrum.classes]
+    return ForbiddenSlopeTable(tuple(
+        tuple(cls.direction for cls, vs in zip(spectrum.classes, vertex_sets) if i not in vs)
+        for i in range(len(config))
+    ))
+
+
+def forbidden_slope_counts(spectrum: SlopeSpectrum, n: int) -> list[int]:
+    """Per point index, how many spectrum directions are forbidden there:
+    the class count less the classes whose vertex set holds the point.
+    One class's vertex set is alive at a time."""
+    touched = [0] * n
+    for cls in spectrum.classes:
+        for v in _vertices(cls):
+            touched[v] += 1
+    return [spectrum.count - t for t in touched]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Generator constructors, the PRNG contract, determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from slopespectra import (
     random_noncollinear,
     random_with_interior_point,
     regular_polygon,
+    serialize_points,
     slope_spectrum,
 )
 from slopespectra.errors import InvalidSpec, PolygonTooSmall, TooFewRemaining
@@ -140,6 +142,26 @@ class TestRandomConfigurations:
         a = random_general_position(8, 42)
         b = random_general_position(8, 42)
         assert a.points == b.points
+
+    @pytest.mark.parametrize("make,seed,digest", [
+        (lambda s: random_general_position(30, s), 1,
+         "c168eabc212f347bcfbdca4c665e7594a04943894fd994ac5af0215bc74a3051"),
+        (lambda s: random_general_position(30, s), 7,
+         "4cab8a6df250893da2b0329c24b1d3ba7a7405859404588059bc01432b6af63a"),
+        (lambda s: random_general_position(30, s), 2024,
+         "393277610b81825baf38fc1dae8b947dc2663f5172a8746f73ee2b5a1aa19415"),
+        (lambda s: random_with_interior_point(20, s), 1,
+         "49289caa319ddf08096670519fc1d036219e9b8cc65f27312d9837a3a8042ab2"),
+        (lambda s: random_with_interior_point(20, s), 7,
+         "e47efdb6305bf16a81524b9f7b9af96be20d2c8c83baa153abb8bd0e48eb4328"),
+        (lambda s: random_with_interior_point(20, s), 2024,
+         "625f8e2d128944f9d041c9f29ad3c447ddeac9e6fc1618270bc9587ab8bfb296"),
+    ])
+    def test_output_pinned(self, make, seed, digest):
+        # the accept/reject sequence of the collinearity test fixes the
+        # output; these digests were taken from the triple-loop version
+        text = serialize_points(make(seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_noncollinear_allows_triples(self):
         # small bound makes collinear triples likely but never all-collinear

@@ -1,0 +1,130 @@
+"""The exact incidence pass against brute-force loops, and its cost in
+orientation tests counted rather than timed.
+
+The oracles here loop over pairs and triples with their own rational
+arithmetic; they share no code with `Configuration.direction_classes`.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slopespectra
+from slopespectra import (
+    Criticality,
+    classify_criticality,
+    forbidden_slope_table,
+    is_general_position,
+    random_convex_position,
+    random_general_position,
+    random_noncollinear,
+    slope_spectrum,
+    verify_theorem,
+)
+
+from conftest import brute_slope_count, exact_config
+
+
+def _slope(p, q):
+    dx, dy = q.x - p.x, q.y - p.y
+    return None if dx == 0 else Fraction(dy, dx)
+
+
+def brute_first_collinear_triple(config):
+    pts = config.points
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                a, b, c = pts[i], pts[j], pts[k]
+                if (b.x - a.x) * (c.y - a.y) == (b.y - a.y) * (c.x - a.x):
+                    return (i, j, k)
+    return None
+
+
+def brute_forbidden(config):
+    """Per point, the slope values of all pairs less those of pairs at it."""
+    pts = config.points
+    n = len(pts)
+    every = {_slope(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n)}
+    return [every - {_slope(pts[i], pts[j]) for j in range(n) if j != i}
+            for i in range(n)]
+
+
+def brute_criticality(config):
+    n = len(config)
+    count = brute_slope_count(config)
+    gp = brute_first_collinear_triple(config) is None
+    if count == n - 1:
+        return Criticality.CRITICAL, count, gp
+    if count == n:
+        return (Criticality.GENERAL_POSITION_MINIMAL if gp else Criticality.NEAR_CRITICAL), count, gp
+    if count == n + 1:
+        return Criticality.N_PLUS_ONE, count, gp
+    return Criticality.OTHER, count, gp
+
+
+class TestAgainstBruteForce:
+    # bound 4 leaves few distinct coordinates: many collinear triples and
+    # many pairs per class
+    @given(st.integers(7, 25), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_pass_matches_loops(self, n, seed):
+        cfg = random_noncollinear(n, seed, bound=4)
+        triple = brute_first_collinear_triple(cfg)
+        assert is_general_position(cfg) == (triple is None, triple)
+
+        spectrum = slope_spectrum(cfg)
+        assert spectrum.count == brute_slope_count(cfg)
+        table = forbidden_slope_table(cfg, spectrum)
+        got = [[None if d.dx == 0 else Fraction(d.dy, d.dx) for d in dirs]
+               for dirs in table.per_point]
+        assert [len(dirs) for dirs in got] == [len(set(dirs)) for dirs in got]
+        assert [set(dirs) for dirs in got] == brute_forbidden(cfg)
+
+        crit = classify_criticality(cfg)
+        assert (crit.verdict, crit.count, crit.general_position) == brute_criticality(cfg)
+
+    def test_first_triple_is_lexicographic_not_first_found(self):
+        # from point 0, points 2 and 3 share a line first scanned at k = 3,
+        # but (0, 1, 4) is the lexicographically first triple
+        cfg = exact_config([(0, 0), (1, 0), (0, 1), (0, 2), (3, 0), (5, 7)])
+        assert brute_first_collinear_triple(cfg) == (0, 1, 4)
+        assert is_general_position(cfg) == (False, (0, 1, 4))
+
+
+@pytest.fixture
+def orientation_calls(monkeypatch):
+    """Counts calls of `geometry.orientation` through every module binding it."""
+    original = slopespectra.geometry.orientation
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slopespectra.") and getattr(module, "orientation", None) is original:
+            monkeypatch.setattr(module, "orientation", counted)
+    return calls
+
+
+class TestScaling:
+    """Orientation tests made, where the triple loops made O(n^3)."""
+
+    def test_exact_general_position_makes_none(self, orientation_calls):
+        cfg = random_convex_position(150, 1)
+        assert is_general_position(cfg) == (True, None)
+        assert orientation_calls[0] == 0
+
+    def test_exact_verify_is_linear(self, orientation_calls):
+        cfg = random_convex_position(150, 1)
+        verify_theorem(cfg)
+        assert orientation_calls[0] < 4 * len(cfg)
+
+    def test_generator_makes_none(self, orientation_calls):
+        random_general_position(60, 1)
+        assert orientation_calls[0] == 0

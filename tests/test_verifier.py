@@ -102,6 +102,14 @@ class TestCertificates:
         img = apply_affine(gon_minus(m, seed % m), random_affine_map(seed))
         assert isinstance(verify_theorem(img), Certificate)
 
+    def test_127_of_128_gon_certifies(self):
+        # double-and-add multiples of the generator piled up rounding past
+        # eps here; one group step per input point does not accumulate it
+        img = apply_affine(gon_minus(128, 30), random_affine_map(3586016, bound=5))
+        v = verify_theorem(img)
+        assert isinstance(v, Certificate), v
+        assert sorted(v.residues) == list(range(127))
+
 
 class TestRefutations:
     def test_size(self):
