@@ -3,10 +3,11 @@
 Subcommands: analyze, verify, generate, render, case.  Exit codes are
 stable: 0 for success (verify: certificate), 3 for a refutation or a
 report-level precondition refusal, 1 for input or parse errors, 2 for
-usage errors (argparse).  verify with several files reports every file,
-an unreadable one as a report with an "error" verdict, and exits 1 if any
-file errored, else 3 if any was refuted, else 0.  SLOPESPECTRA_EPS
-overrides the default float tolerance when --eps is not given.
+usage errors (argparse), malformed option text included.  verify with
+several files reports every file, an unreadable one as a report with an
+"error" verdict, and exits 1 if any file errored, else 3 if any was
+refuted, else 0.  SLOPESPECTRA_EPS overrides the default float tolerance
+when --eps is not given; either must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .generators import GeneratorSpec
 from .geometry import Configuration
 from .pointfile import _parse_token, parse_point_text, serialize_points
 from .regularity import AffineMap
-from .render import render_svg
+from .render import parse_highlight, render_svg
 from .scalars import DEFAULT_EPS_REL, EXACT, float_backend
 from .slopes import classify_criticality, forbidden_slope_table, slope_spectrum
 from .verifier import classify_proof_case, verify_theorem
@@ -37,14 +38,32 @@ EXIT_REFUTED = 3
 ENV_EPS = "SLOPESPECTRA_EPS"
 
 
-def _default_eps() -> float:
-    raw = os.environ.get(ENV_EPS)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return DEFAULT_EPS_REL
+def _eps(text: str) -> float:
+    """An --eps or SLOPESPECTRA_EPS value: one a float backend accepts."""
+    try:
+        return float_backend(float(text)).eps_rel
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the tolerance (--eps or {ENV_EPS}) must be a positive finite number, "
+            f"got {text!r}") from None
+
+
+def _indices(text: str) -> tuple[int, ...]:
+    """A --delete value: comma-separated vertex indices."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated vertex indices, got {text!r}") from None
+
+
+def _highlight(text: str) -> str:
+    """A --highlight value, checked against the grammar `render_svg` reads."""
+    try:
+        parse_highlight(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _resolve_backend(args):
@@ -73,7 +92,8 @@ def _emit(report: dict, args) -> None:
 def _add_common(sub):
     sub.add_argument("--backend", choices=["rational", "float"],
                      help="force the scalar backend (default: infer from the file)")
-    sub.add_argument("--eps", type=float, default=_default_eps(),
+    # a string default goes through type=_eps only when --eps is absent
+    sub.add_argument("--eps", type=_eps, default=os.environ.get(ENV_EPS) or DEFAULT_EPS_REL,
                      help="relative tolerance for the float backend")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -140,11 +160,10 @@ def _parse_affine(text: str) -> AffineMap:
 
 
 def cmd_generate(args) -> int:
-    delete = tuple(int(t) for t in args.delete.split(",")) if args.delete else ()
     spec = GeneratorSpec(
         polygon=args.polygon,
         random=args.random,
-        delete=delete,
+        delete=args.delete,
         affine=_parse_affine(args.affine) if args.affine else None,
         perturb_delta=args.perturb,
         seed=args.seed,
@@ -203,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("generate", help="emit a point file from a generator pipeline")
     p.add_argument("--polygon", type=int, help="regular m-gon source")
     p.add_argument("--random", type=int, help="random general-position source of n points")
-    p.add_argument("--delete", help="comma-separated vertex indices to drop")
+    p.add_argument("--delete", type=_indices, default=(),
+                   help="comma-separated vertex indices to drop")
     p.add_argument("--affine", help="a,b,c,d,e,f for x'=ax+by+e, y'=cx+dy+f")
     p.add_argument("--perturb", type=float, help="uniform perturbation radius")
     p.add_argument("--seed", type=int, default=0)
@@ -214,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("render", help="emit a deterministic SVG figure")
     p.add_argument("file")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--highlight",
+    p.add_argument("--highlight", type=_highlight,
                    help="'conic', 'forbidden <i>', 'parallel (dx,dy)' or 'parallel all'")
     _add_common(p)
     p.set_defaults(func=cmd_render)

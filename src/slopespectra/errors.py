@@ -52,6 +52,10 @@ class NotConvexPosition(SlopeSpectraError):
         return type(self), (self.index,)
 
 
+class IndexOutOfRange(SlopeSpectraError, IndexError):
+    """A point or vertex index lies outside the configuration."""
+
+
 class IndexOrder(SlopeSpectraError):
     """Indices violate the required strict order i < j < k."""
 

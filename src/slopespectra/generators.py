@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     GenerationExhausted,
+    IndexOutOfRange,
     InvalidSpec,
     PolygonTooSmall,
     TooFewRemaining,
@@ -88,7 +89,7 @@ def delete_vertices(config: Configuration, indices: Sequence[int]) -> Configurat
     drop = set(indices)
     for i in drop:
         if not 0 <= i < len(config):
-            raise IndexError(f"vertex index {i} out of range")
+            raise IndexOutOfRange(f"vertex index {i} out of range")
     keep = [i for i in range(len(config)) if i not in drop]
     if len(keep) < 3:
         raise TooFewRemaining(f"only {len(keep)} points would remain")
@@ -282,10 +283,10 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000,
     outer = random_general_position(n - 1, seed, bound)
     pts = list(outer.points)
     dirs: list[set[tuple[int, int]]] = [set() for _ in pts]
-    for key, pairs in outer.direction_classes:
+    for d, pairs in outer.direction_classes:
         for i, j in pairs:
-            dirs[i].add(key)
-            dirs[j].add(key)
+            dirs[i].add((d.dx, d.dy))
+            dirs[j].add((d.dx, d.dy))
     rng = SplitMix64(seed ^ 0x9E3779B97F4A7C15)
     # a strict convex combination of any three non-collinear points lies
     # strictly inside the hull

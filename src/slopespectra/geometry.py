@@ -5,9 +5,10 @@ exact backend an integer-primitive pair (dx, dy) with dx > 0 (or dx = 0,
 dy > 0); on the float backend a unit vector whose angle lies in [0, pi).
 Two directions are parallel iff their cross product is (tolerance-)zero.
 
-On the exact backend a configuration hashes every pair once by its
-canonical integer direction (`Configuration.direction_classes`), and the
-collinearity test reads that table; the float path tests triples.
+A configuration partitions its pairs into parallelism classes once
+(`Configuration.direction_classes`): the exact backend hashes every pair by
+its canonical integer direction, the float backend merges sorted pair
+angles.  The collinearity test and the slope spectrum read that one table.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -22,7 +23,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    BackendMismatch,
     CoincidentPoints,
     DuplicatePoints,
     NotConvexPosition,
@@ -85,7 +85,7 @@ def direction_key(dx: Fraction, dy: Fraction) -> tuple[int, int]:
 def integer_direction(key: tuple[int, int]) -> Direction:
     """The exact Direction of a canonical integer pair."""
     ix, iy = key
-    return Direction(ix, iy, exact=True, angle=math.atan2(iy, ix) % math.pi)
+    return Direction(ix, iy, True, math.atan2(iy, ix) % math.pi)
 
 
 def direction_from_vector(dx, dy, backend: Backend) -> Direction:
@@ -176,54 +176,68 @@ class Configuration:
         return Configuration(tuple(self.points[i] for i in indices), self.backend)
 
     @cached_property
-    def direction_classes(self) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]:
-        """Exact backend: (canonical integer direction, the pairs (i, j) with
-        i < j whose segment has it), sorted by direction; each class lists
-        its pairs in lexicographic order.
+    def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:
+        """The parallelism classes of all pairs: (canonical direction, the
+        pairs (i, j) with i < j whose segment has it, in lexicographic order).
 
-        One O(n^2) pass, cached on the configuration.  The points are first
+        One O(n^2) pass, cached on the configuration.  Exact: the points are
         scaled by the lcm of all denominators onto one integer grid, which
-        changes no direction, so each pair costs one gcd.
+        changes no direction, so each pair costs one gcd; classes are sorted
+        by direction.  Float: sorted pair angles in [0, pi) are merged when
+        adjacent within eps_angle, the pi/0 wraparound included; a class is
+        represented by its smallest (angle, i, j), and classes are sorted by
+        angle.  Merging follows the sorted order and is not transitively
+        closed, which keeps the output deterministic.
         """
-        if not self.backend.exact:
-            raise BackendMismatch("direction classes need the exact backend")
         pts = self.points
-        scale = math.lcm(*(v.denominator for p in pts for v in p))
-        grid = [(p.x.numerator * (scale // p.x.denominator),
-                 p.y.numerator * (scale // p.y.denominator)) for p in pts]
-        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, (xi, yi) in enumerate(grid):
-            for j in range(i + 1, len(grid)):
-                xj, yj = grid[j]
-                classes.setdefault(_primitive(xj - xi, yj - yi), []).append((i, j))
-        return tuple((key, tuple(classes[key])) for key in sorted(classes))
+        b = self.backend
+        if b.exact:
+            scale = math.lcm(*(v.denominator for p in pts for v in p))
+            grid = [(p.x.numerator * (scale // p.x.denominator),
+                     p.y.numerator * (scale // p.y.denominator)) for p in pts]
+            classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for i, (xi, yi) in enumerate(grid):
+                for j in range(i + 1, len(grid)):
+                    xj, yj = grid[j]
+                    classes.setdefault(_primitive(xj - xi, yj - yi), []).append((i, j))
+            return tuple((integer_direction(key), tuple(classes[key]))
+                         for key in sorted(classes))
+
+        items = []
+        for i, p in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                d = direction_from_vector(pts[j].x - p.x, pts[j].y - p.y, b)
+                items.append((d.angle, i, j, d))
+        items.sort(key=lambda t: t[:3])
+        groups: list[list] = []
+        for item in items:
+            if groups and item[0] - groups[-1][-1][0] <= b.eps_angle:
+                groups[-1].append(item)
+            else:
+                groups.append([item])
+        # the last group may continue into the first across pi/0; either
+        # way each group starts with its smallest item, in ascending order
+        if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_angle:
+            groups[0] += groups.pop()
+        return tuple((grp[0][3], tuple(sorted((i, j) for _, i, j, _ in grp)))
+                     for grp in groups)
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Whether no three points are collinear.
 
     On failure, also returns the lexicographically first collinear triple.
-    The exact backend reads `direction_classes`, one O(n^2) hashing pass:
-    (i, j, k) is collinear iff the pairs (i, j) and (i, k) share a class,
-    and for the first triple they are adjacent in it.  The float backend tests
-    every triple with `orientation`, O(n^3).
+    Reads `direction_classes`, one O(n^2) pass: (i, j, k) is collinear iff
+    the pairs (i, j) and (i, k) share a class, and for the first triple they
+    are adjacent in it.
     """
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    if config.backend.exact:
-        first = min(((i, j, k) for _, pairs in config.direction_classes
-                     for (i, j), (i2, k) in zip(pairs, pairs[1:]) if i == i2),
-                    default=None)
-        return first is None, first
-    pts = config.points
-    b = config.backend
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(pts[i], pts[j], pts[k], b) == 0:
-                    return False, (i, j, k)
-    return True, None
+    first = min(((i, j, k) for _, pairs in config.direction_classes
+                 for (i, j), (i2, k) in zip(pairs, pairs[1:]) if i == i2),
+                default=None)
+    return first is None, first
 
 
 def convex_position_order(config: Configuration) -> tuple[int, ...]:

@@ -64,7 +64,7 @@ def parse_point_text(text: str, backend: Optional[Backend] = None,
         raise BackendMismatch("file mixes exact fractions with decimals")
     if backend is None:
         if "dec" in kinds:
-            backend = float_backend(eps_rel) if eps_rel else float_backend()
+            backend = float_backend(eps_rel) if eps_rel is not None else float_backend()
         else:
             backend = EXACT
     elif backend.kind == RATIONAL and "dec" in kinds:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 
 from .conics import Conic, conic_through_5
-from .errors import RenderTooLarge, SlopeSpectraError
-from .geometry import Configuration, Direction, direction_from_vector, directions_parallel
-from .slopes import SlopeSpectrum, forbidden_slopes_at, slope_spectrum
+from .errors import ParseError, RenderTooLarge, SlopeSpectraError
+from .geometry import Configuration, direction_from_vector, directions_parallel
+from .pointfile import _parse_token
+from .slopes import forbidden_slopes_at, slope_spectrum
 
 POINT_CAP = 1000  # documented limit for cmd_render
 _CANVAS = 600.0
@@ -130,19 +131,27 @@ def _conic_path(conic: Conic, frame: _Frame, samples: int = 256) -> str:
             f'stroke="#2060c0" stroke-width="1.0"/>')
 
 
-def _parse_direction(text: str, config: Configuration) -> Direction:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"direction must look like (dx,dy), got {text!r}")
-    from .pointfile import _parse_token
-
-    parts = body[1:-1].split(",")
-    if len(parts) != 2:
-        raise ValueError(f"direction must have two components, got {text!r}")
-    dx, _ = _parse_token(parts[0].strip(), 0)
-    dy, _ = _parse_token(parts[1].strip(), 0)
-    b = config.backend
-    return direction_from_vector(b.coerce(dx), b.coerce(dy), b)
+def parse_highlight(text: str):
+    """The (kind, argument) of a highlight: ("conic", None),
+    ("forbidden", point index), ("parallel", "all") or ("parallel", (dx, dy))
+    with dx, dy parsed like point-file coordinates; ValueError if malformed."""
+    kind, _, arg = text.strip().partition(" ")
+    arg = arg.strip()
+    try:
+        if kind == "conic":
+            return kind, None
+        if kind == "forbidden":
+            return kind, int(arg)
+        if kind == "parallel" and arg == "all":
+            return kind, arg
+        if kind == "parallel" and arg[:1] + arg[-1:] == "()":
+            dx, dy = (_parse_token(t.strip(), 0)[0] for t in arg[1:-1].split(","))
+            if dx != 0 or dy != 0:
+                return kind, (dx, dy)
+    except (ValueError, ParseError):
+        pass
+    raise ValueError("highlight must be 'conic', 'forbidden <i>', 'parallel (dx,dy)' "
+                     f"or 'parallel all', got {text!r}")
 
 
 def render_svg(config: Configuration, highlight: str | None = None) -> str:
@@ -155,25 +164,22 @@ def render_svg(config: Configuration, highlight: str | None = None) -> str:
         raise RenderTooLarge(f"{len(config)} points exceed the cap of {POINT_CAP}")
     frame = _Frame(config)
     body: list[str] = []
-    spectrum: SlopeSpectrum | None = None
 
     if highlight:
-        mode = highlight.split(None, 1)
-        kind = mode[0]
+        kind, arg = parse_highlight(highlight)
         if kind == "conic":
             conic = conic_through_5(config.points[:5], config.backend)
             body.append(_conic_svg(conic, frame))
         elif kind == "parallel":
-            if len(mode) != 2:
-                raise ValueError("parallel highlight needs a direction or 'all'")
             spectrum = slope_spectrum(config)
-            if mode[1].strip() == "all":
+            if arg == "all":
                 selected = list(enumerate(spectrum.classes))
             else:
-                want = _parse_direction(mode[1], config)
+                b = config.backend
+                want = direction_from_vector(b.coerce(arg[0]), b.coerce(arg[1]), b)
                 selected = [
                     (ci, cls) for ci, cls in enumerate(spectrum.classes)
-                    if directions_parallel(cls.direction, want, config.backend)
+                    if directions_parallel(cls.direction, want, b)
                 ]
             for ci, cls in selected:
                 dash = _DASHES[ci % len(_DASHES)]
@@ -181,12 +187,9 @@ def render_svg(config: Configuration, highlight: str | None = None) -> str:
                     body.append(_segment(frame, config.points[i].as_floats(),
                                          config.points[j].as_floats(),
                                          "#303030", dash, f"parallel-{ci}"))
-        elif kind == "forbidden":
-            if len(mode) != 2:
-                raise ValueError("forbidden highlight needs a point index")
-            idx = int(mode[1])
-            spectrum = slope_spectrum(config)
-            missing = forbidden_slopes_at(config, spectrum, idx)
+        else:  # forbidden
+            idx = arg
+            missing = forbidden_slopes_at(config, slope_spectrum(config), idx)
             px, py = config.points[idx].as_floats()
             half = 0.15 * max(frame.maxx - frame.minx, frame.maxy - frame.miny)
             for di, d in enumerate(missing):
@@ -196,8 +199,6 @@ def render_svg(config: Configuration, highlight: str | None = None) -> str:
                 body.append(_segment(frame, (px - dx, py - dy), (px + dx, py + dy),
                                      "#c03030", _DASHES[(di + 1) % len(_DASHES)],
                                      f"forbidden-{idx}"))
-        else:
-            raise ValueError(f"unknown highlight {highlight!r}")
 
     for i, p in enumerate(config.points):
         x, y = frame.to_svg(*p.as_floats())

@@ -13,6 +13,7 @@ reports, so every predicate states explicitly which comparison rule it uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +40,8 @@ class Backend:
     def __post_init__(self):
         if self.kind not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.eps_rel <= 0 or self.eps_angle <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.eps_rel < math.inf and 0 < self.eps_angle < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     @property
     def exact(self) -> bool:

@@ -1,14 +1,10 @@
 """Slope spectra, forbidden slopes, and the convex-chord dichotomy.
 
 The slope spectrum of a configuration is the partition of all point pairs
-into parallelism classes.  On the exact backend the classes are the
-configuration's `direction_classes`, one O(n^2) pass that hashes every pair
-by its canonical integer direction, computed once per configuration and
-shared with the general-position test.  On the float backend all pair
-angles in [0, pi) are sorted and adjacent angles within eps_angle are
-merged, with the pi/0 wraparound pair merged explicitly.  Merging is
-adjacency-based, not transitively closed beyond the sorted order, which
-keeps the output deterministic for a given input.
+into parallelism classes.  It is the configuration's `direction_classes`,
+one O(n^2) pass on either backend (hashed integer directions when exact,
+merged sorted pair angles when float), computed once per configuration and
+shared with the general-position test and the criticality class.
 
 Forbidden slopes are read from each class's vertex set, so the whole table
 takes time proportional to its size plus the number of pairs.
@@ -16,20 +12,11 @@ takes time proportional to its size plus the number of pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AllCollinear, IndexOrder, LemmaViolation, TooFewPoints
-from .geometry import (
-    Configuration,
-    Direction,
-    direction,
-    integer_direction,
-    is_general_position,
-    orientation,
-    segments_parallel,
-)
+from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
+from .geometry import Configuration, Direction, is_general_position, segments_parallel
 
 
 @dataclass(frozen=True)
@@ -63,36 +50,7 @@ def slope_spectrum(config: Configuration) -> SlopeSpectrum:
     n = len(config)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    b = config.backend
-    if b.exact:
-        return SlopeSpectrum(tuple(SlopeClass(integer_direction(key), pairs)
-                                   for key, pairs in config.direction_classes))
-
-    pts = config.points
-    items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = direction(pts[i], pts[j], b)
-            items.append((d.angle, i, j, d))
-    items.sort(key=lambda t: (t[0], t[1], t[2]))
-    groups_f: list[list] = [[items[0]]]
-    for item in items[1:]:
-        if item[0] - groups_f[-1][-1][0] <= b.eps_angle:
-            groups_f[-1].append(item)
-        else:
-            groups_f.append([item])
-    # explicit pi/0 wraparound: the last group may continue into the first
-    if len(groups_f) > 1:
-        gap = groups_f[0][0][0] + math.pi - groups_f[-1][-1][0]
-        if gap <= b.eps_angle:
-            groups_f[0] = groups_f.pop() + groups_f[0]
-    classes_f = []
-    for grp in groups_f:
-        rep = min(grp, key=lambda t: (t[0], t[1], t[2]))[3]
-        pairs = tuple(sorted((i, j) for _, i, j, _ in grp))
-        classes_f.append(SlopeClass(rep, pairs))
-    classes_f.sort(key=lambda c: c.direction.angle)
-    return SlopeSpectrum(tuple(classes_f))
+    return SlopeSpectrum(tuple(SlopeClass(d, pairs) for d, pairs in config.direction_classes))
 
 
 def _vertices(cls: SlopeClass) -> set[int]:
@@ -103,7 +61,7 @@ def _vertices(cls: SlopeClass) -> set[int]:
 def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) -> list[Direction]:
     """Spectrum directions not realized by any segment incident to point i."""
     if not 0 <= i < len(config):
-        raise IndexError(f"point index {i} out of range")
+        raise IndexOutOfRange(f"point index {i} out of range")
     return [cls.direction for cls in spectrum.classes if i not in _vertices(cls)]
 
 
@@ -209,12 +167,10 @@ def classify_criticality(config: Configuration) -> CriticalityReport:
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    pts = config.points
-    b = config.backend
-    if all(orientation(pts[0], pts[1], pts[k], b) == 0 for k in range(2, n)):
+    count = len(config.direction_classes)
+    if count == 1:
         raise AllCollinear("all points lie on one line")
     gp, _ = is_general_position(config)
-    count = slope_spectrum(config).count
     if count == n - 1:
         verdict = Criticality.CRITICAL
     elif count == n:

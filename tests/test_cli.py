@@ -224,3 +224,89 @@ class TestEnvEps:
         code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == EXIT_OK
         assert json.loads(out)["eps"] == 1e-6
+
+
+def run_to_exit(capsys, *argv):
+    """Like run, but a usage error's SystemExit becomes its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestBadOptionValues:
+    """Bad option values end in one error line, not a traceback: exit 2 for
+    malformed text, 1 for an index outside the input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--backend", "float", "--eps", "-1"],
+        ["analyze", "--backend", "float", "--eps", "-1"],
+        ["analyze", "--eps", "0"],
+        ["verify", "--eps", "nan"],
+        ["verify", "--eps", "inf"],
+    ], ids=["verify-negative", "analyze-negative", "zero", "nan", "inf"])
+    def test_eps_flag(self, instance_file, capsys, argv):
+        code, _, err = run_to_exit(capsys, argv[0], instance_file, *argv[1:])
+        assert code == 2
+        assert err.count("error:") == 1 and "positive finite" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "abc"])
+    def test_eps_env(self, instance_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("SLOPESPECTRA_EPS", value)
+        code, _, err = run_to_exit(capsys, "verify", instance_file)
+        assert code == 2
+        assert err.count("error:") == 1 and "SLOPESPECTRA_EPS" in err
+
+    @pytest.mark.parametrize("highlight, code", [
+        ("forbidden 99", EXIT_ERROR),
+        ("forbidden x", 2),
+        ("bogus", 2),
+        ("parallel (1,0,2)", 2),
+    ])
+    def test_render_highlight(self, instance_file, capsys, highlight, code):
+        got, out, err = run_to_exit(capsys, "render", instance_file, "--highlight", highlight)
+        assert got == code
+        assert out == "" and err.count("error:") == 1
+
+    @pytest.mark.parametrize("delete, code", [("99", EXIT_ERROR), ("1,x", 2)])
+    def test_generate_delete(self, capsys, delete, code):
+        got, out, err = run_to_exit(capsys, "generate", "--polygon", "8", "--delete", delete)
+        assert got == code
+        assert out == "" and err.count("error:") == 1
+
+
+class TestReportDigests:
+    """Report digests pinned before float general position and the float
+    spectrum moved onto `Configuration.direction_classes`: the incidence
+    table changes no report byte."""
+
+    SOURCES = {
+        "affine float": ["--polygon", "12", "--delete", "0", "--affine", "2,1,0.5,3,-1,4"],
+        "perturbed float": ["--polygon", "12", "--delete", "5", "--perturb", "1e-3",
+                            "--seed", "7"],
+        "random exact": ["--random", "12", "--seed", "3"],
+    }
+    PINS = {
+        ("affine float", "analyze"):
+            "277d5f828f67d6ac1ef39c9e5d29e02e30ec6fd32a8e668d3672eabb6656e9a8",
+        ("affine float", "verify"):
+            "1aa9cc63673717c73e295a61b444ca6fe7d9139bb1c80324528ddb3b80a30eff",
+        ("perturbed float", "analyze"):
+            "6f14ba36ffba888850387ffd2b0721b5c2a24cb996a2faf6fac9d3e678e7238d",
+        ("perturbed float", "verify"):
+            "e37f303b2830e03a379083c22b09a4654d43c5b5e7da4d797422a0ab4ba9da00",
+        ("random exact", "analyze"):
+            "f721fce3e336e6bb3fa76255a47ec90081d9d2375a2471897f8800b77d23da00",
+        ("random exact", "verify"):
+            "8f2450e8443475d22ac633b1f4922ea144c21f58d3144340a2bef9cddadb47f0",
+    }
+
+    @pytest.mark.parametrize("source, command", sorted(PINS))
+    def test_digest(self, tmp_path, capsys, monkeypatch, source, command):
+        monkeypatch.chdir(tmp_path)  # verify reports the file name as given
+        main(["generate", *self.SOURCES[source]])
+        Path("pts.txt").write_text(capsys.readouterr().out)
+        _, out, _ = run(capsys, command, "pts.txt", "--json")
+        assert json.loads(out)["report_digest"] == self.PINS[source, command]

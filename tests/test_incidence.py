@@ -1,5 +1,5 @@
-"""The exact incidence pass against brute-force loops, and its cost in
-orientation tests counted rather than timed.
+"""The incidence pass on both backends against brute-force loops, and its
+cost in orientation tests counted rather than timed.
 
 The oracles here loop over pairs and triples with their own rational
 arithmetic; they share no code with `Configuration.direction_classes`.
@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 
 import slopespectra
 from slopespectra import (
+    Configuration,
     Criticality,
     classify_criticality,
+    delete_vertices,
+    float_backend,
     forbidden_slope_table,
     is_general_position,
     random_convex_position,
     random_general_position,
     random_noncollinear,
+    regular_polygon,
     slope_spectrum,
     verify_theorem,
 )
@@ -31,6 +35,17 @@ from conftest import brute_slope_count, exact_config
 def _slope(p, q):
     dx, dy = q.x - p.x, q.y - p.y
     return None if dx == 0 else Fraction(dy, dx)
+
+
+def _direction_slope(d):
+    """The slope of a spectrum direction, None when vertical; a float unit
+    vector is rounded to the nearest slope of denominator at most 10^4, far
+    above the denominators of `random_noncollinear(n, seed, bound=4)`."""
+    if d.dx == 0:
+        return None
+    if d.exact:
+        return Fraction(d.dy, d.dx)
+    return Fraction(d.dy / d.dx).limit_denominator(10 ** 4)
 
 
 def brute_first_collinear_triple(config):
@@ -73,20 +88,22 @@ class TestAgainstBruteForce:
     @given(st.integers(7, 25), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_pass_matches_loops(self, n, seed):
-        cfg = random_noncollinear(n, seed, bound=4)
-        triple = brute_first_collinear_triple(cfg)
-        assert is_general_position(cfg) == (triple is None, triple)
+        exact = random_noncollinear(n, seed, bound=4)
+        # the float image answers to the same exact oracles
+        image = Configuration.from_coords([(p.x, p.y) for p in exact.points], float_backend())
+        triple = brute_first_collinear_triple(exact)
+        for cfg in (exact, image):
+            assert is_general_position(cfg) == (triple is None, triple)
 
-        spectrum = slope_spectrum(cfg)
-        assert spectrum.count == brute_slope_count(cfg)
-        table = forbidden_slope_table(cfg, spectrum)
-        got = [[None if d.dx == 0 else Fraction(d.dy, d.dx) for d in dirs]
-               for dirs in table.per_point]
-        assert [len(dirs) for dirs in got] == [len(set(dirs)) for dirs in got]
-        assert [set(dirs) for dirs in got] == brute_forbidden(cfg)
+            spectrum = slope_spectrum(cfg)
+            assert spectrum.count == brute_slope_count(exact)
+            table = forbidden_slope_table(cfg, spectrum)
+            got = [[_direction_slope(d) for d in dirs] for dirs in table.per_point]
+            assert [len(dirs) for dirs in got] == [len(set(dirs)) for dirs in got]
+            assert [set(dirs) for dirs in got] == brute_forbidden(exact)
 
-        crit = classify_criticality(cfg)
-        assert (crit.verdict, crit.count, crit.general_position) == brute_criticality(cfg)
+            crit = classify_criticality(cfg)
+            assert (crit.verdict, crit.count, crit.general_position) == brute_criticality(exact)
 
     def test_first_triple_is_lexicographic_not_first_found(self):
         # from point 0, points 2 and 3 share a line first scanned at k = 3,
@@ -122,6 +139,16 @@ class TestScaling:
 
     def test_exact_verify_is_linear(self, orientation_calls):
         cfg = random_convex_position(150, 1)
+        verify_theorem(cfg)
+        assert orientation_calls[0] < 4 * len(cfg)
+
+    def test_float_general_position_makes_none(self, orientation_calls):
+        cfg = delete_vertices(regular_polygon(256), [0])
+        assert is_general_position(cfg) == (True, None)
+        assert orientation_calls[0] == 0
+
+    def test_float_verify_is_linear(self, orientation_calls):
+        cfg = delete_vertices(regular_polygon(256), [0])
         verify_theorem(cfg)
         assert orientation_calls[0] < 4 * len(cfg)
 
