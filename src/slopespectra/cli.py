@@ -13,6 +13,7 @@ when --eps is not given; either must be a positive finite number.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -55,6 +56,41 @@ def _indices(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated vertex indices, got {text!r}") from None
+
+
+def _perturb(text: str) -> float:
+    """A --perturb value: a finite radius >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite perturbation radius >= 0, got {text!r}")
+    return value
+
+
+def _bound(text: str) -> int:
+    """A --bound value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer bound >= 1, got {text!r}")
+    return value
+
+
+def _affine(text: str) -> tuple:
+    """An --affine value: six comma-separated point-file numbers a,b,c,d,e,f."""
+    try:
+        values = [_parse_token(t.strip(), 0) for t in text.split(",")]
+    except ParseError:
+        values = []
+    if len(values) != 6 or any(k == "dec" and not math.isfinite(v) for v, k in values):
+        raise argparse.ArgumentTypeError(
+            f"expected six comma-separated finite numbers a,b,c,d,e,f, got {text!r}")
+    return tuple(v for v, _ in values)
 
 
 def _highlight(text: str) -> str:
@@ -151,20 +187,16 @@ def cmd_verify(args) -> int:
     return EXIT_REFUTED if "refutation" in kinds else EXIT_OK
 
 
-def _parse_affine(text: str) -> AffineMap:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 6:
-        raise SlopeSpectraError(f"--affine needs 6 comma-separated values, got {len(parts)}")
-    a, b, c, d, e, f = (_parse_token(t, 0)[0] for t in parts)
-    return AffineMap(((a, b), (c, d)), (e, f))
-
-
 def cmd_generate(args) -> int:
+    affine = None
+    if args.affine:
+        a, b, c, d, e, f = args.affine
+        affine = AffineMap(((a, b), (c, d)), (e, f))  # NonInvertible when singular
     spec = GeneratorSpec(
         polygon=args.polygon,
         random=args.random,
         delete=args.delete,
-        affine=_parse_affine(args.affine) if args.affine else None,
+        affine=affine,
         perturb_delta=args.perturb,
         seed=args.seed,
         bound=args.bound,
@@ -224,10 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, help="random general-position source of n points")
     p.add_argument("--delete", type=_indices, default=(),
                    help="comma-separated vertex indices to drop")
-    p.add_argument("--affine", help="a,b,c,d,e,f for x'=ax+by+e, y'=cx+dy+f")
-    p.add_argument("--perturb", type=float, help="uniform perturbation radius")
+    p.add_argument("--affine", type=_affine,
+                   help="a,b,c,d,e,f for x'=ax+by+e, y'=cx+dy+f")
+    p.add_argument("--perturb", type=_perturb, help="uniform perturbation radius")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=1000,
+    p.add_argument("--bound", type=_bound, default=1000,
                    help="numerator/denominator bound for random rationals")
     p.set_defaults(func=cmd_generate)
 

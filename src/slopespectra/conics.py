@@ -35,6 +35,7 @@ from .geometry import (
     Point,
     direction,
     direction_from_vector,
+    integer_grid,
     is_general_position,
     points_equal,
     segments_parallel,
@@ -46,25 +47,20 @@ def _normalize_coeffs(raw, backend: Backend):
     vals = list(raw)
     if backend.exact:
         vals = [Fraction(v) for v in vals]
-        if all(v == 0 for v in vals):
+        den = math.lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = math.gcd(*ints)
+        if g == 0:
             raise DegenerateConic("all six coefficients are zero")
-        den = math.lcm(*[v.denominator for v in vals])
-        ints = [int(v * den) for v in vals]
-        g = math.gcd(*[abs(v) for v in ints])
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        if next(v for v in ints if v != 0) < 0:
+            g = -g
+        return tuple(v // g for v in ints)
     vals = [float(v) for v in vals]
     norm = math.sqrt(sum(v * v for v in vals))
     if norm == 0.0:
         raise DegenerateConic("all six coefficients are zero")
     vals = [v / norm for v in vals]
-    first = next((v for v in vals if abs(v) > backend.eps_rel), None)
-    if first is None:
-        first = next(v for v in vals if v != 0.0)
-    if first < 0:
+    if next((v for v in vals if abs(v) > backend.eps_rel), next(v for v in vals if v)) < 0:
         vals = [-v for v in vals]
     return tuple(vals)
 
@@ -114,12 +110,6 @@ def is_on_conic(conic: Conic, p: Point) -> bool:
     return conic.backend.sum_is_zero(conic.terms_at(p))
 
 
-def _incidence_row(p: Point) -> list[Fraction]:
-    # exact on both backends: a float coordinate has an exact Fraction image
-    x, y = Fraction(p.x), Fraction(p.y)
-    return [x * x, x * y, y * y, x, y, Fraction(1)]
-
-
 def _check_general_position(points, backend: Backend) -> None:
     """Raise DuplicatePoints or CollinearTriple for the first witness."""
     gp, witness = is_general_position(Configuration(tuple(points), backend))
@@ -127,71 +117,73 @@ def _check_general_position(points, backend: Backend) -> None:
         raise CollinearTriple(witness)
 
 
-def _exact_nullvector(rows):
-    """One nonzero kernel vector of a 5x6 exact matrix of rank 5."""
-    m = list(rows)
-    pivots = []
-    r = 0
-    for col in range(6):
-        pr = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][col]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [vi - factor * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    if r < 5:
-        raise RankDeficient(f"incidence matrix has rank {r} < 5")
-    free = next(c for c in range(6) if c not in pivots)
-    x = [Fraction(0)] * 6
-    x[free] = Fraction(1)
-    for row, pc in zip(m[:r], pivots):
-        x[pc] = -row[free]
-    return x
+def _incidence_rows(points) -> tuple[int, list[list[int]]]:
+    """(Z, the rows (X^2, XY, Y^2, XZ, YZ, Z^2)) of the points on their
+    `integer_grid`: Z^2 times the rows (x^2, xy, y^2, x, y, 1), exactly."""
+    z, grid = integer_grid(points)
+    return z, [[x * x, x * y, y * y, x * z, y * z, z * z] for x, y in grid]
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so no Fraction is ever built."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mi, mik = m[i], m[i][k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pk - mik * m[k][j]) // prev
+        prev = pk
+    return sign * m[-1][-1]
+
+
+def _cofactors(rows) -> list[int]:
+    """The six cofactors of a row appended to five integer rows of six, by
+    signed 5x5 minors.  By Cramer's rule they span the kernel of the five
+    rows, and are all zero iff the five have rank < 5."""
+    return [(-1) ** (5 + j) * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
 
 
 def conic_through_5(points, backend: Backend) -> Conic:
     """The unique conic through five points, no three collinear.
 
-    Both backends fit by exact elimination on the Fraction images of the
-    coordinates; the float backend rounds only the final coefficients.
+    Both backends fit exactly: the coefficients are the signed 5x5 minors
+    of the integer incidence rows; the float backend rounds only the final
+    coefficients.
     """
     points = list(points)
     if len(points) != 5:
         raise DegenerateInput(f"need exactly 5 points, got {len(points)}")
     _check_general_position(points, backend)
-    coeffs = _exact_nullvector([_incidence_row(p) for p in points])
-    top = max(abs(v) for v in coeffs)  # keeps the float images in range
-    return Conic.from_coeffs([v / top for v in coeffs], backend)
+    coeffs = _cofactors(_incidence_rows(points)[1])
+    nonzero = [v for v in coeffs if v != 0]
+    if not nonzero:
+        raise RankDeficient("incidence matrix has rank < 5")
+    if backend.exact:
+        return Conic.from_coeffs(coeffs, backend)
+    # one representative per conic, its last nonzero coefficient positive:
+    # the float normalization signs the zero coefficients too
+    top = max(map(abs, nonzero))  # keeps the float images in range
+    sign = 1 if nonzero[-1] > 0 else -1
+    return Conic.from_coeffs([sign * v / top for v in coeffs], backend)
 
 
 def coconic_determinant(points, backend: Backend):
-    """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1),
-    computed exactly; a float on the float backend."""
-    m = [_incidence_row(p) for p in points]
-    det = Fraction(1)
-    for col in range(6):
-        pr = next((i for i in range(col, 6) if m[i][col] != 0), None)
-        if pr is None:
-            det = Fraction(0)
-            break
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, 6):
-            if m[i][col] != 0:
-                factor = m[i][col] * inv
-                m[i] = [vi - factor * vc for vi, vc in zip(m[i], m[col])]
-    return det if backend.exact else float(det)
+    """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1), exact
+    (a float on the float backend): the Laplace expansion of the integer
+    rows along the sixth, divided exactly by Z^12."""
+    z, rows = _incidence_rows(points)
+    det = sum(v * c for v, c in zip(rows[5], _cofactors(rows[:5])))
+    return Fraction(det, z ** 12) if backend.exact else det / z ** 12
 
 
 def coconic_6(points, backend: Backend) -> bool:
@@ -203,7 +195,8 @@ def coconic_6(points, backend: Backend) -> bool:
     if backend.exact:
         return det == 0
     # scale-aware zero test via the Hadamard bound on the determinant
-    bound = math.prod(math.hypot(*map(float, _incidence_row(p))) for p in points)
+    bound = math.prod(math.hypot(p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1)
+                      for p in points)
     return abs(det) <= backend.eps_rel * max(1.0, bound)
 
 

@@ -78,9 +78,9 @@ class CollinearTriple(SlopeSpectraError):
 
 
 class RankDeficient(SlopeSpectraError):
-    """The conic incidence system does not determine a unique conic: its
-    exact elimination, which fits the conics of both backends, found rank
-    below 5."""
+    """The conic incidence system does not determine a unique conic: all
+    six signed 5x5 minors of the integer incidence rows, which fit the
+    conics of both backends, are zero (rank below 5)."""
 
 
 class DegenerateConic(SlopeSpectraError):

@@ -93,7 +93,7 @@ def delete_vertices(config: Configuration, indices: Sequence[int]) -> Configurat
     keep = [i for i in range(len(config)) if i not in drop]
     if len(keep) < 3:
         raise TooFewRemaining(f"only {len(keep)} points would remain")
-    return config.subset(keep)
+    return config.reordered(keep)
 
 
 def apply_affine(config: Configuration, T: AffineMap) -> Configuration:

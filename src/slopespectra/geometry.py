@@ -88,6 +88,16 @@ def integer_direction(key: tuple[int, int]) -> Direction:
     return Direction(ix, iy, True, math.atan2(iy, ix) % math.pi)
 
 
+def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
+    """The points on one integer grid: (Z, [(x Z, y Z), ...]), Z the lcm of
+    all coordinate denominators.  Takes Fractions and floats alike (a float
+    is an exact dyadic rational); scaling changes no direction or incidence.
+    """
+    ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
+    z = math.lcm(*(den for xy in ratios for _, den in xy))
+    return z, [(nx * (z // dx), ny * (z // dy)) for (nx, dx), (ny, dy) in ratios]
+
+
 def direction_from_vector(dx, dy, backend: Backend) -> Direction:
     """Canonical Direction of the (nonzero) vector (dx, dy)."""
     if backend.exact:
@@ -170,10 +180,8 @@ class Configuration:
         return self.points[i]
 
     def reordered(self, order: Sequence[int]) -> "Configuration":
+        """The points at the given indices, in that order (a subset too)."""
         return Configuration(tuple(self.points[i] for i in order), self.backend)
-
-    def subset(self, indices: Sequence[int]) -> "Configuration":
-        return Configuration(tuple(self.points[i] for i in indices), self.backend)
 
     @cached_property
     def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:
@@ -181,20 +189,17 @@ class Configuration:
         pairs (i, j) with i < j whose segment has it, in lexicographic order).
 
         One O(n^2) pass, cached on the configuration.  Exact: the points are
-        scaled by the lcm of all denominators onto one integer grid, which
-        changes no direction, so each pair costs one gcd; classes are sorted
-        by direction.  Float: sorted pair angles in [0, pi) are merged when
-        adjacent within eps_angle, the pi/0 wraparound included; a class is
-        represented by its smallest (angle, i, j), and classes are sorted by
-        angle.  Merging follows the sorted order and is not transitively
-        closed, which keeps the output deterministic.
+        put on their `integer_grid`, so each pair costs one gcd; classes are
+        sorted by direction.  Float: sorted pair angles in [0, pi) are merged
+        when adjacent within eps_rel radians, the pi/0 wraparound included;
+        a class is represented by its smallest (angle, i, j), and classes are
+        sorted by angle.  Merging follows the sorted order and is not
+        transitively closed, which keeps the output deterministic.
         """
         pts = self.points
         b = self.backend
         if b.exact:
-            scale = math.lcm(*(v.denominator for p in pts for v in p))
-            grid = [(p.x.numerator * (scale // p.x.denominator),
-                     p.y.numerator * (scale // p.y.denominator)) for p in pts]
+            _, grid = integer_grid(pts)
             classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for i, (xi, yi) in enumerate(grid):
                 for j in range(i + 1, len(grid)):
@@ -211,13 +216,13 @@ class Configuration:
         items.sort(key=lambda t: t[:3])
         groups: list[list] = []
         for item in items:
-            if groups and item[0] - groups[-1][-1][0] <= b.eps_angle:
+            if groups and item[0] - groups[-1][-1][0] <= b.eps_rel:
                 groups[-1].append(item)
             else:
                 groups.append([item])
         # the last group may continue into the first across pi/0; either
         # way each group starts with its smallest item, in ascending order
-        if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_angle:
+        if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_rel:
             groups[0] += groups.pop()
         return tuple((grp[0][3], tuple(sorted((i, j) for _, i, j, _ in grp)))
                      for grp in groups)

@@ -21,27 +21,25 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 DEFAULT_EPS_REL = 1e-9
-DEFAULT_EPS_ANGLE = 1e-9
 
 
 @dataclass(frozen=True)
 class Backend:
     """Comparison rules for one scalar representation.
 
-    kind      -- "rational" (exact) or "float" (tolerance-governed)
-    eps_rel   -- relative tolerance for float equality (unused when exact)
-    eps_angle -- angular merge tolerance, radians, for float slope classing
+    kind    -- "rational" (exact) or "float" (tolerance-governed)
+    eps_rel -- relative tolerance for float equality, and the angular merge
+               tolerance, radians, for float slope classing (unused when exact)
     """
 
     kind: str
     eps_rel: float = DEFAULT_EPS_REL
-    eps_angle: float = DEFAULT_EPS_ANGLE
 
     def __post_init__(self):
         if self.kind not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if not (0 < self.eps_rel < math.inf and 0 < self.eps_angle < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.eps_rel < math.inf:
+            raise ValueError("the tolerance must be positive and finite")
 
     @property
     def exact(self) -> bool:
@@ -96,7 +94,6 @@ class Backend:
 EXACT = Backend(RATIONAL)
 
 
-def float_backend(eps_rel: float = DEFAULT_EPS_REL,
-                  eps_angle: float | None = None) -> Backend:
+def float_backend(eps_rel: float = DEFAULT_EPS_REL) -> Backend:
     """A float backend with the given relative tolerance."""
-    return Backend(FLOAT, eps_rel, eps_angle if eps_angle is not None else DEFAULT_EPS_ANGLE)
+    return Backend(FLOAT, eps_rel)

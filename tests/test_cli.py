@@ -276,6 +276,23 @@ class TestBadOptionValues:
         assert got == code
         assert out == "" and err.count("error:") == 1
 
+    @pytest.mark.parametrize("option, value", [
+        ("--perturb", "-1"), ("--perturb", "nan"), ("--perturb", "inf"),
+        ("--perturb", "1e400"), ("--bound", "0"), ("--bound", "-3"),
+        ("--affine", "1,0,0,1,x,0"), ("--affine", "1,0,0,1,0"),
+        ("--affine", "1e400,0,0,1,0,0"),
+    ])
+    def test_generate_value(self, capsys, option, value):
+        got, out, err = run_to_exit(capsys, "generate", "--random", "8", option, value)
+        assert got == 2
+        assert out == "" and err.count("error:") == 1 and "usage:" in err
+
+    def test_generate_singular_affine(self, capsys):
+        got, out, err = run_to_exit(capsys, "generate", "--polygon", "8",
+                                    "--affine", "1,2,2,4,0,0")
+        assert got == EXIT_ERROR
+        assert out == "" and err.count("error:") == 1 and "NonInvertible" in err
+
 
 class TestReportDigests:
     """Report digests pinned before float general position and the float

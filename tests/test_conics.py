@@ -6,8 +6,11 @@ can be checked against rational arithmetic on parameters.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slopespectra import (
     Applicable,
@@ -130,6 +133,72 @@ class TestCoconic6:
     def test_duplicate_gives_rank_drop(self):
         pts = parabola_points([0, 1, 2, 3, 4]) + [pp(0)]
         assert coconic_6(pts, EXACT)
+
+
+def _sign(perm) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+SIGNED_PERMUTATIONS = [(_sign(p), p) for p in permutations(range(6))]
+
+
+def leibniz_det(points) -> Fraction:
+    """The 6x6 incidence determinant by the permutation expansion, on the
+    exact rationals of the coordinates."""
+    rows = []
+    for p in points:
+        x, y = F(p.x), F(p.y)
+        rows.append((x * x, x * y, y * y, x, y, F(1)))
+    total = F(0)
+    for sign, perm in SIGNED_PERMUTATIONS:
+        term = F(sign)
+        for row, col in zip(rows, perm):
+            term *= row[col]
+            if not term:
+                break
+        total += term
+    return total
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+
+@st.composite
+def six_points(draw):
+    """Six rational points; on request the last lies on the parabola
+    y = q x^2 + r x + s through the first five, so the determinant is 0."""
+    if not draw(st.booleans()):
+        return [Point(draw(rationals), draw(rationals)) for _ in range(6)]
+    q, r, s = draw(rationals), draw(rationals), draw(rationals)
+    xs = draw(st.lists(rationals, min_size=6, max_size=6, unique=True))
+    return [Point(x, q * x * x + r * x + s) for x in xs]
+
+
+class TestIntegerKernel:
+    """The fraction-free minors against a Leibniz expansion that shares no
+    code with the package."""
+
+    @given(six_points())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_determinant_value(self, pts):
+        assert coconic_determinant(pts, EXACT) == leibniz_det(pts)
+        image = [Point(float(p.x), float(p.y)) for p in pts]
+        assert coconic_determinant(image, float_backend()) == float(leibniz_det(image))
+
+    @given(six_points())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_fit_vanishes_at_the_five(self, pts):
+        five = pts[:5]
+        assume(len(set(five)) == 5 and all(
+            (b.x - a.x) * (c.y - a.y) != (b.y - a.y) * (c.x - a.x)
+            for i, a in enumerate(five) for j, b in enumerate(five[i + 1:], i + 1)
+            for c in five[j + 1:]))
+        coeffs = conic_through_5(five, EXACT).coeffs
+        assert any(coeffs)
+        for p in five:
+            x, y = F(p.x), F(p.y)
+            assert sum(c * t for c, t in zip(coeffs, (x * x, x * y, y * y, x, y, 1))) == 0
 
 
 class TestTangentAndSecondIntersection:

@@ -157,7 +157,7 @@ class TestRefutations:
         coords = [tuple(p) for p in cfg.points]
         x, y = coords[3]
         coords[3] = (x + 4e-7, y)  # off the circle, within the coarse slope merge
-        loose = Configuration.from_coords(coords, float_backend(1e-4, eps_angle=1e-4))
+        loose = Configuration.from_coords(coords, float_backend(1e-4))
         v = verify_theorem(loose)
         assert isinstance(v, (Certificate, Refutation))
         if isinstance(v, Refutation):
