@@ -140,11 +140,16 @@ def cmd_analyze(args) -> int:
     spectrum = slope_spectrum(config)
     table = forbidden_slope_table(config, spectrum)
     crit = classify_criticality(config)
+    spectrum_doc = rep.spectrum_json(spectrum)
+    # the table holds the spectrum's own Direction objects: every entry
+    # shares its class's dict, which the report encoder writes once
+    class_docs = {id(cls.direction): doc["direction"]
+                  for cls, doc in zip(spectrum.classes, spectrum_doc["classes"])}
     payload = {
         "n": len(config),
-        "spectrum": rep.spectrum_json(spectrum),
+        "spectrum": spectrum_doc,
         "forbidden": {
-            str(i): [rep.direction_json(d) for d in dirs]
+            str(i): [class_docs[id(d)] for d in dirs]
             for i, dirs in enumerate(table.per_point)
         },
         "criticality": crit.verdict.value,

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     CoincidentPoints,
     DuplicatePoints,
+    IndexOutOfRange,
     NotConvexPosition,
     TooFewPoints,
 )
@@ -180,8 +181,27 @@ class Configuration:
         return self.points[i]
 
     def reordered(self, order: Sequence[int]) -> "Configuration":
-        """The points at the given indices, in that order (a subset too)."""
-        return Configuration(tuple(self.points[i] for i in order), self.backend)
+        """The points at the given indices, in that order (a subset too).
+
+        Distinct indices name distinct points, so only the indices are
+        checked, in O(n): each in range (IndexOutOfRange), none repeated
+        (DuplicatePoints, with the first pair of positions that repeat).
+        """
+        n = len(self.points)
+        first: dict[int, int] = {}
+        repeats = []
+        for pos, i in enumerate(order):
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"point index {i} out of range")
+            if first.setdefault(i, pos) != pos:
+                repeats.append((first[i], pos))
+        if repeats:
+            raise DuplicatePoints(*min(repeats))
+        # the points are known distinct: skip __post_init__'s O(n^2) test
+        sub = object.__new__(Configuration)
+        object.__setattr__(sub, "points", tuple(self.points[i] for i in order))
+        object.__setattr__(sub, "backend", self.backend)
+        return sub
 
     @cached_property
     def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:
@@ -251,18 +271,22 @@ def convex_position_order(config: Configuration) -> tuple[int, ...]:
     The order starts at the lexicographically smallest point (lowest x,
     then lowest y).  Requires general position; raises NotConvexPosition
     with the smallest offending index when some point is not a hull vertex.
+    Turns are decided exactly, on both backends, on the points' `integer_grid`.
     """
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    pts = config.points
-    b = config.backend
-    order = sorted(range(n), key=lambda i: (pts[i].x, pts[i].y))
+    _, grid = integer_grid(config.points)
+    order = sorted(range(n), key=grid.__getitem__)
 
     def build(indices):
         chain: list[int] = []
         for i in indices:
-            while len(chain) >= 2 and orientation(pts[chain[-2]], pts[chain[-1]], pts[i], b) <= 0:
+            rx, ry = grid[i]
+            while len(chain) >= 2:
+                (px, py), (qx, qy) = grid[chain[-2]], grid[chain[-1]]
+                if (qx - px) * (ry - py) > (qy - py) * (rx - px):
+                    break
                 chain.pop()
             chain.append(i)
         return chain

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import slopespectra
+from slopespectra import report
 
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
 
@@ -157,6 +158,36 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path), "--backend", "rational")
         assert code == EXIT_ERROR
         assert "BackendMismatch" in err
+
+
+class TestAnalyzeReport:
+    """The forbidden table lists n(n-1)(n-2)/2 directions in general
+    position, all drawn from the spectrum's classes."""
+
+    @pytest.fixture
+    def gp30(self, tmp_path):
+        path = tmp_path / "gp30.txt"
+        path.write_text(slopespectra.serialize_points(
+            slopespectra.random_general_position(30, 5)))
+        return str(path)
+
+    def test_json_is_canonical(self, gp30, capsys):
+        code, out, _ = run(capsys, "analyze", gp30, "--json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_one_direction_dict_per_class(self, gp30, capsys, monkeypatch):
+        calls = [0]
+        original = report.direction_json
+
+        def counted(d):
+            calls[0] += 1
+            return original(d)
+
+        monkeypatch.setattr(report, "direction_json", counted)
+        code, out, _ = run(capsys, "analyze", gp30, "--json")
+        assert code == EXIT_OK
+        assert 0 < calls[0] <= json.loads(out)["payload"]["spectrum"]["count"]
 
 
 class TestCase:

@@ -1,8 +1,12 @@
 """Point-file grammar, backend inference, report reproducibility."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slopespectra import EXACT, parse_point_text, serialize_points, points_equal
 from slopespectra.errors import BackendMismatch, ParseError
@@ -92,3 +96,48 @@ class TestReport:
     def test_json_sorted_keys(self):
         doc = rep.to_json(self._make())
         assert doc.index('"backend"') < doc.index('"command"') < doc.index('"eps"')
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**29, max_value=10**40).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-9, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(),  # non-ASCII and control characters included
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+@st.composite
+def shared_leaf(draw):
+    """One scalar-leaf container held several times, at one depth and at
+    different depths, beside an arbitrary value."""
+    leaf = draw(st.one_of(st.dictionaries(st.text(max_size=3), JSON_SCALARS, min_size=1,
+                                          max_size=3),
+                          st.lists(JSON_SCALARS, min_size=1, max_size=3)))
+    return {"top": leaf, "same": [leaf, leaf, {"k": leaf}], "deeper": ([leaf],),
+            "value": draw(JSON_VALUES)}
+
+
+class TestEncoder:
+    """`report._dumps` is `json.dumps(sort_keys=True)` byte for byte."""
+
+    @given(st.one_of(JSON_VALUES, shared_leaf()))
+    @example([(), {}, [], (1, "\u00e9\x00\u2028\U0001f600"), -0.0, 1e-9, 1e300,
+              math.nan, math.inf, -math.inf, 10**35, -(10**31)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
+        assert rep._dumps(value, None) == json.dumps(value, sort_keys=True,
+                                                     separators=(",", ":"))
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            rep._dumps({"x": Fraction(1, 2)}, 2)

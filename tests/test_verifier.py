@@ -5,6 +5,7 @@ import math
 import pytest
 
 from slopespectra import (
+    AffineMap,
     CaseTag,
     Certificate,
     Configuration,
@@ -140,6 +141,13 @@ class TestRefutations:
         v = verify_theorem(cfg)
         assert v.stage == Stage.CONVEX_POSITION
         assert v.witness == 7
+
+    def test_tiny_polygon_hull_is_exact(self):
+        # the hull's turns are exact on the dyadic values, so no tolerance
+        # floor sees a 1e-6-scaled polygon as collinear
+        cfg = apply_affine(gon_minus(12, 3), AffineMap(((1e-6, 0.0), (0.0, 1e-6)), (0.0, 0.0)))
+        assert convex_position_order(cfg) == convex_position_order(gon_minus(12, 3))
+        assert getattr(verify_theorem(cfg), "stage", None) != Stage.CONVEX_POSITION
 
     def test_slope_count_witness_rechecks(self):
         cfg = regular_polygon(8)
