@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     CoincidentPoints,
     DuplicatePoints,
-    IndexOutOfRange,
     NotConvexPosition,
     TooFewPoints,
 )
@@ -181,27 +180,8 @@ class Configuration:
         return self.points[i]
 
     def reordered(self, order: Sequence[int]) -> "Configuration":
-        """The points at the given indices, in that order (a subset too).
-
-        Distinct indices name distinct points, so only the indices are
-        checked, in O(n): each in range (IndexOutOfRange), none repeated
-        (DuplicatePoints, with the first pair of positions that repeat).
-        """
-        n = len(self.points)
-        first: dict[int, int] = {}
-        repeats = []
-        for pos, i in enumerate(order):
-            if not 0 <= i < n:
-                raise IndexOutOfRange(f"point index {i} out of range")
-            if first.setdefault(i, pos) != pos:
-                repeats.append((first[i], pos))
-        if repeats:
-            raise DuplicatePoints(*min(repeats))
-        # the points are known distinct: skip __post_init__'s O(n^2) test
-        sub = object.__new__(Configuration)
-        object.__setattr__(sub, "points", tuple(self.points[i] for i in order))
-        object.__setattr__(sub, "backend", self.backend)
-        return sub
+        """The points at the given indices, in that order (a subset too)."""
+        return Configuration(tuple(self.points[i] for i in order), self.backend)
 
     @cached_property
     def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:

@@ -161,18 +161,3 @@ class TestScaling:
         cfg = random_convex_position(150, 1)
         assert sorted(convex_position_order(cfg)) == list(range(150))
         assert orientation_calls[0] == 0
-
-    def test_reordered_tests_no_pair(self, monkeypatch):
-        cfg = delete_vertices(regular_polygon(256), [0])
-        order = convex_position_order(cfg)
-        calls = [0]
-        original = slopespectra.geometry.points_equal
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(slopespectra.geometry, "points_equal", counted)
-        hull = cfg.reordered(order)
-        assert hull.points == tuple(cfg.points[i] for i in order)
-        assert calls[0] == 0
