@@ -194,10 +194,10 @@ def coconic_6(points, backend: Backend) -> bool:
     det = coconic_determinant(points, backend)
     if backend.exact:
         return det == 0
-    # scale-aware zero test via the Hadamard bound on the determinant
-    bound = math.prod(math.hypot(p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1)
-                      for p in points)
-    return abs(det) <= backend.eps_rel * max(1.0, bound)
+    # relative zero test against the Hadamard bound by columns: under
+    # x -> s x each column scales by one power of s, as the determinant does
+    rows = [(p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1.0) for p in points]
+    return abs(det) <= backend.eps_rel * math.prod(math.hypot(*col) for col in zip(*rows))
 
 
 def tangent_direction(conic: Conic, p: Point) -> Direction:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .errors import (
@@ -201,25 +200,12 @@ def random_noncollinear(n: int, seed: int, bound: int = 1000,
         return Configuration(tuple(pts), EXACT)
 
 
-def _angle_class(v: tuple[Fraction, Fraction]) -> int:
-    # half-plane index for exact angular sorting: 0 for upper (dy > 0 or
-    # dy = 0, dx > 0), 1 for lower
+def _angle_key(v: tuple[Fraction, Fraction]) -> tuple:
+    """Exact sort key of the nonzero vector's angle in [0, 2 pi): the lower
+    half-plane (dy < 0, or dy = 0 and dx < 0) after the upper, and within a
+    half the horizontal vector first, then ascending -dx/dy."""
     dx, dy = v
-    if dy > 0 or (dy == 0 and dx > 0):
-        return 0
-    return 1
-
-
-def _angle_cmp(a, b) -> int:
-    ha, hb = _angle_class(a), _angle_class(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+    return dy < 0 or (dy == 0 and dx < 0), dy != 0, -dx / dy if dy else 0
 
 
 def random_convex_position(n: int, seed: int, bound: int = 1000,
@@ -260,8 +246,9 @@ def random_convex_position(n: int, seed: int, bound: int = 1000,
         vecs = list(zip(dx, dy))
         if any(v == (0, 0) for v in vecs):
             continue
-        vecs.sort(key=cmp_to_key(_angle_cmp))
-        if any(_angle_cmp(vecs[i], vecs[(i + 1) % n]) == 0 for i in range(n)):
+        vecs.sort(key=_angle_key)
+        keys = [_angle_key(v) for v in vecs]
+        if any(keys[i] == keys[(i + 1) % n] for i in range(n)):
             continue  # parallel edges would create a collinear triple
         pts = []
         x = Fraction(0)

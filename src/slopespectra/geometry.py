@@ -108,6 +108,13 @@ def direction_from_vector(dx, dy, backend: Backend) -> Direction:
     fx, fy = float(dx), float(dy)
     if fx == 0.0 and fy == 0.0:
         raise CoincidentPoints("zero vector has no direction")
+    ux, uy, ang = _unit_direction(fx, fy)
+    return Direction(ux, uy, exact=False, angle=ang)
+
+
+def _unit_direction(fx: float, fy: float) -> tuple[float, float, float]:
+    """(ux, uy, angle) of the nonzero float vector (fx, fy): the unit vector
+    flipped into the upper half-plane, and its angle in [0, pi)."""
     if fy < 0.0 or (fy == 0.0 and fx < 0.0):
         fx, fy = -fx, -fy
     h = math.hypot(fx, fy)
@@ -117,7 +124,7 @@ def direction_from_vector(dx, dy, backend: Backend) -> Direction:
         ang -= math.pi
     if ang < 0.0:
         ang = 0.0
-    return Direction(fx, fy, exact=False, angle=ang)
+    return fx, fy, ang
 
 
 def direction(p: Point, q: Point, backend: Backend) -> Direction:
@@ -208,12 +215,9 @@ class Configuration:
             return tuple((integer_direction(key), tuple(classes[key]))
                          for key in sorted(classes))
 
-        items = []
-        for i, p in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                d = direction_from_vector(pts[j].x - p.x, pts[j].y - p.y, b)
-                items.append((d.angle, i, j, d))
-        items.sort(key=lambda t: t[:3])
+        items = [(_unit_direction(q.x - p.x, q.y - p.y)[2], i, j)
+                 for i, p in enumerate(pts) for j, q in enumerate(pts[i + 1:], i + 1)]
+        items.sort()
         groups: list[list] = []
         for item in items:
             if groups and item[0] - groups[-1][-1][0] <= b.eps_rel:
@@ -224,8 +228,12 @@ class Configuration:
         # way each group starts with its smallest item, in ascending order
         if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_rel:
             groups[0] += groups.pop()
-        return tuple((grp[0][3], tuple(sorted((i, j) for _, i, j, _ in grp)))
-                     for grp in groups)
+        out = []
+        for grp in groups:
+            _, i, j = grp[0]
+            d = direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b)
+            out.append((d, tuple(sorted((i, j) for _, i, j in grp))))
+        return tuple(out)
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .conics import Conic, ConicGroup, conic_through_5, is_on_conic
 from .errors import (
@@ -87,16 +87,16 @@ def _locate_gap(failures: list[int], n: int) -> Optional[int]:
     return cands[0]
 
 
-def reconstruct_missing_vertex(config: Configuration, conic: Conic, gap: int) -> Point:
+def reconstruct_missing_vertex(pts: Sequence[Point], conic: Conic, gap: int) -> Point:
     """The vertex completing the polygon at the gap after hull position `gap`.
 
+    pts are the points in hull order, on the conic (whose backend is used).
     Computed as the base-independent group expression A_g + A_{g+2} - A_{g+1}
     and validated against its two defining parallelisms:
     B A_{g+1} || A_g A_{g+2} and B A_g || A_{g-1} A_{g+1}.
     """
-    pts = config.points
     n = len(pts)
-    b = config.backend
+    b = conic.backend
     g = gap % n
     group = ConicGroup(conic, pts[g])  # base A_g makes the expression a single add
     vertex = group.add(pts[(g + 2) % n], group.neg(pts[(g + 1) % n]))
@@ -143,8 +143,7 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
             return Refutation(Stage.SLOPE_COUNT,
                               f"point {i} has {bad} forbidden slopes, expected 2", i)
 
-    hull = config.reordered(order)
-    pts = hull.points
+    pts = [config.points[i] for i in order]
     b = config.backend
     try:
         conic = conic_through_5(pts[:5], b)
@@ -169,8 +168,8 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
                           tuple(failures))
 
     try:
-        vertex = reconstruct_missing_vertex(hull, conic, gap)
-        completed = list(pts[:gap + 1]) + [vertex] + list(pts[gap + 1:])
+        vertex = reconstruct_missing_vertex(pts, conic, gap)
+        completed = pts[:gap + 1] + [vertex] + pts[gap + 1:]
         chain_ok, fail_j = korchmaros_chain(completed, b, cyclic=True)
         if not chain_ok:
             return Refutation(Stage.RECONSTRUCTION,
@@ -268,7 +267,7 @@ def classify_proof_case(config: Configuration) -> ProofCase:
     def par(i1, j1, i2, j2) -> bool:
         return segments_parallel(pts[i1 % n], pts[j1 % n], pts[i2 % n], pts[j2 % n], b)
 
-    if all(par(i + 1, i + 2, i, i + 3) for i in range(n)):
+    if not _cyclic_chain_failures(pts, b):
         if all(par(i, i + 5, i + 1, i + 4) for i in range(n)):
             return ProofCase(CaseTag.CASE_1_1, 0, False, None, order)
         for i in range(n):

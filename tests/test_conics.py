@@ -5,6 +5,7 @@ chord-parallelism group is plain parameter addition, so every group result
 can be checked against rational arithmetic on parameters.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -133,6 +134,17 @@ class TestCoconic6:
     def test_duplicate_gives_rank_drop(self):
         pts = parabola_points([0, 1, 2, 3, 4]) + [pp(0)]
         assert coconic_6(pts, EXACT)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5, 1e9])
+    def test_float_verdict_is_scale_invariant(self, scale):
+        # the determinant and the bound by columns both scale as s^8, so
+        # scaling moves neither verdict
+        generic = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (0, 3)]
+        assert not coconic_6([Point(x * scale, y * scale) for x, y in generic],
+                             float_backend())
+        circle = [Point(scale * math.cos(t), scale * math.sin(t))
+                  for t in (0.1, 0.9, 2.0, 3.3, 4.4, 5.5)]
+        assert coconic_6(circle, float_backend())
 
 
 def _sign(perm) -> int:

@@ -156,10 +156,23 @@ class TestRandomConfigurations:
          "e47efdb6305bf16a81524b9f7b9af96be20d2c8c83baa153abb8bd0e48eb4328"),
         (lambda s: random_with_interior_point(20, s), 2024,
          "625f8e2d128944f9d041c9f29ad3c447ddeac9e6fc1618270bc9587ab8bfb296"),
+        (lambda s: random_convex_position(7, s), 1,
+         "ea7997d60284a6bfb748623c6039c080efe1fb519572215282c44fcc8145c5b9"),
+        (lambda s: random_convex_position(30, s), 2,
+         "ba7d8d29181ff6ed5a096d5ce5551825bcb9d2130f50bdedf2a34f5d2fe7791e"),
+        (lambda s: random_convex_position(150, s), 1,
+         "93dd39dc2ed616619ea90af445c69f06b6c92c960b5a01438e8910d317059118"),
+        # small bounds: draws with parallel edges are rejected first
+        (lambda s: random_convex_position(9, s, bound=4), 3,
+         "8e7aa06ec20db093f6e911d432680518eea8364988635991d25a84682ded9b71"),
+        (lambda s: random_convex_position(16, s, bound=6), 7,
+         "203d2774065293a9b439643dedb962b096600a9fed0e29ced11fcdd145305f8a"),
     ])
     def test_output_pinned(self, make, seed, digest):
         # the accept/reject sequence of the collinearity test fixes the
-        # output; these digests were taken from the triple-loop version
+        # output; these digests were taken from the triple-loop version, and
+        # the convex ones from the version that sorted edge vectors with a
+        # half-plane and cross-product comparator
         text = serialize_points(make(seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

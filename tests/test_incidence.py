@@ -131,7 +131,8 @@ def orientation_calls(monkeypatch):
 
 
 class TestScaling:
-    """Orientation tests made, where the triple loops made O(n^3)."""
+    """Orientation tests made, where the triple loops made O(n^3), and
+    Direction objects made, counted rather than timed."""
 
     def test_exact_general_position_makes_none(self, orientation_calls):
         cfg = random_convex_position(150, 1)
@@ -156,6 +157,20 @@ class TestScaling:
     def test_generator_makes_none(self, orientation_calls):
         random_general_position(60, 1)
         assert orientation_calls[0] == 0
+
+    def test_float_pass_makes_one_direction_per_class(self, monkeypatch):
+        # a key per pair, a Direction per class: not one per pair
+        cfg = delete_vertices(regular_polygon(64), [0])
+        original = slopespectra.geometry.Direction
+        made = [0]
+
+        def counted(*args, **kwargs):
+            made[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(slopespectra.geometry, "Direction", counted)
+        classes = cfg.direction_classes
+        assert made[0] == len(classes) < len(cfg) * (len(cfg) - 1) // 2
 
     def test_exact_hull_makes_none(self, orientation_calls):
         cfg = random_convex_position(150, 1)

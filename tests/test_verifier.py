@@ -111,6 +111,21 @@ class TestCertificates:
         assert isinstance(v, Certificate), v
         assert sorted(v.residues) == list(range(127))
 
+    def test_verify_builds_no_hull_configuration(self, monkeypatch):
+        # the stages read the hull as a list of the input's points: no
+        # second Configuration, and no second O(n^2) duplicate test
+        cfg = gon_minus(256)
+        original = Configuration.__post_init__
+        sizes = []
+
+        def recorded(self):
+            sizes.append(len(self.points))
+            original(self)
+
+        monkeypatch.setattr(Configuration, "__post_init__", recorded)
+        assert isinstance(verify_theorem(cfg), Certificate)
+        assert all(size <= 6 for size in sizes), sizes
+
 
 class TestRefutations:
     def test_size(self):
