@@ -70,14 +70,14 @@ def _perturb(text: str) -> float:
     return value
 
 
-def _bound(text: str) -> int:
-    """A --bound value: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """A --bound or --jobs value: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer bound >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
@@ -120,6 +120,12 @@ def _load(path: str, args) -> tuple[Configuration, str]:
     return config, rep.input_digest(data)
 
 
+def _report(command: str, config: Configuration, digest: str, payload: dict, t0: float) -> dict:
+    """The report of a command on one loaded file, timed from t0."""
+    return rep.build_report(command, config.backend.kind, config.backend.eps_rel,
+                            digest, payload, (time.perf_counter() - t0) * 1e3)
+
+
 def _emit(report: dict, args) -> None:
     out = rep.to_json(report) if args.json else rep.to_text(report)
     sys.stdout.write(out)
@@ -155,8 +161,7 @@ def cmd_analyze(args) -> int:
         "criticality": crit.verdict.value,
         "general_position": crit.general_position,
     }
-    _emit(rep.build_report("analyze", config.backend.kind, config.backend.eps_rel,
-                           digest, payload, (time.perf_counter() - t0) * 1e3), args)
+    _emit(_report("analyze", config, digest, payload, t0), args)
     return EXIT_OK
 
 
@@ -167,19 +172,19 @@ def _verify_one(path: str, args) -> dict:
         config, digest = _load(path, args)
         payload = {"n": len(config), "file": path,
                    "verdict": rep.verdict_json(verify_theorem(config))}
-        kind, eps = config.backend.kind, config.backend.eps_rel
     except (SlopeSpectraError, OSError) as exc:
-        digest, kind, eps = None, args.backend, args.eps
         payload = {"file": path,
                    "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
-    return rep.build_report("verify", kind, eps, digest, payload,
-                            (time.perf_counter() - t0) * 1e3)
+        return rep.build_report("verify", args.backend, args.eps, None, payload,
+                                (time.perf_counter() - t0) * 1e3)
+    return _report("verify", config, digest, payload, t0)
 
 
 def cmd_verify(args) -> int:
     verify = partial(_verify_one, args=args)
     if args.jobs > 1 and len(args.files) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than there are files
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
             results = list(pool.map(verify, args.files))
     else:
         results = [verify(path) for path in args.files]
@@ -227,14 +232,11 @@ def cmd_case(args) -> int:
     try:
         case = classify_proof_case(config)
     except SlopeSpectraError as exc:
-        payload = {"n": len(config), "refusal": f"{type(exc).__name__}: {exc}"}
-        _emit(rep.build_report("case", config.backend.kind, config.backend.eps_rel,
-                               digest, payload, (time.perf_counter() - t0) * 1e3), args)
-        return EXIT_REFUTED
-    payload = {"n": len(config), "proof_case": rep.case_json(case)}
-    _emit(rep.build_report("case", config.backend.kind, config.backend.eps_rel,
-                           digest, payload, (time.perf_counter() - t0) * 1e3), args)
-    return EXIT_OK
+        payload, code = {"n": len(config), "refusal": f"{type(exc).__name__}: {exc}"}, EXIT_REFUTED
+    else:
+        payload, code = {"n": len(config), "proof_case": rep.case_json(case)}, EXIT_OK
+    _emit(_report("case", config, digest, payload, t0), args)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="certify or refute the (n+1)-slope property")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="verify files in parallel processes")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c,d,e,f for x'=ax+by+e, y'=cx+dy+f")
     p.add_argument("--perturb", type=_perturb, help="uniform perturbation radius")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=_bound, default=1000,
+    p.add_argument("--bound", type=_positive_int, default=1000,
                    help="numerator/denominator bound for random rationals")
     p.set_defaults(func=cmd_generate)
 

@@ -20,6 +20,7 @@ from .errors import (
     CollinearSource,
     CollinearTriple,
     NonInvertible,
+    SlopeSpectraError,
     TooFewPoints,
 )
 from .geometry import (
@@ -54,14 +55,9 @@ class AffineMap:
         return cls(((1, 0), (0, 1)), (0, 0))
 
     def apply(self, p: Point, backend: Backend) -> Point:
+        num = Fraction if backend.exact else float
         (a, b), (c, d) = self.linear
-        tx, ty = self.translation
-        if backend.exact:
-            a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-            tx, ty = Fraction(tx), Fraction(ty)
-        else:
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            tx, ty = float(tx), float(ty)
+        a, b, c, d, tx, ty = map(num, (a, b, c, d, *self.translation))
         return Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
 
 
@@ -106,67 +102,71 @@ class RegularityCertificate:
     reason: Optional[str]
 
 
+def convex_polygon(config: Configuration) -> tuple[tuple[int, ...], list[Point]]:
+    """(hull order, the points in that order) of a configuration in general
+    position (else CollinearTriple) and convex position (else
+    NotConvexPosition)."""
+    gp, witness = is_general_position(config)
+    if not gp:
+        raise CollinearTriple(witness)
+    order = convex_position_order(config)
+    return order, [config.points[i] for i in order]
+
+
+def common_conic(pts: Sequence[Point], order: Sequence[int], backend: Backend
+                 ) -> tuple[Optional[Conic], Optional[str], Optional[int]]:
+    """(conic, None, None) when the points, in hull order, lie on the non-degenerate
+    conic through the first five; else (that conic or None, the reason, the input
+    index from `order` of the first point off it or None)."""
+    try:
+        conic = conic_through_5(pts[:5], backend)
+    except SlopeSpectraError as exc:
+        return None, f"no conic through the first five hull points: {exc}", None
+    if conic.degenerate:
+        return conic, "conic through the first five hull points is degenerate", None
+    for pos, p in enumerate(pts):
+        if not is_on_conic(conic, p):
+            return conic, f"point {order[pos]} is off the common conic", order[pos]
+    return conic, None, None
+
+
 def is_affinely_regular(config: Configuration) -> RegularityCertificate:
     """Certify that the configuration is an affinely regular polygon."""
     n = len(config)
     if n < 5:
         raise TooFewPoints(f"need at least 5 points, got {n}")
-    gp, witness = is_general_position(config)
-    if not gp:
-        raise CollinearTriple(witness)
-    order = convex_position_order(config)
-    pts = [config.points[i] for i in order]
-    b = config.backend
-    conic = conic_through_5(pts[:5], b)
-    if conic.degenerate:
-        return RegularityCertificate(False, conic, False, order, "conic through first five points is degenerate")
-    for pos, p in enumerate(pts):
-        if not is_on_conic(conic, p):
-            return RegularityCertificate(
-                False, conic, False, order,
-                f"point {order[pos]} is off the conic through the first five hull points")
-    chain_ok, fail_j = korchmaros_chain(pts, b, cyclic=True)
+    order, pts = convex_polygon(config)
+    conic, reason, _ = common_conic(pts, order, config.backend)
+    if reason is not None:
+        return RegularityCertificate(False, conic, False, order, reason)
+    chain_ok, fail_j = korchmaros_chain(pts, config.backend, cyclic=True)
     if not chain_ok:
         return RegularityCertificate(False, conic, False, order,
                                      f"chord chain fails at cyclic index {fail_j}")
     return RegularityCertificate(True, conic, True, order, None)
 
 
-def _solve3(m, rhs, backend: Backend):
-    # Cramer's rule on a 3x3 system; exact on rationals
-    def det3(mat):
-        return (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-                - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-                + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
-
-    d = det3(m)
-    if backend.cmp(d, 0 * d) == 0:
-        raise CollinearSource("source triple is collinear")
-    out = []
-    for col in range(3):
-        mc = [list(row) for row in m]
-        for r in range(3):
-            mc[r][col] = rhs[r]
-        out.append(det3(mc) / d)
-    return out
-
-
 def solve_affine_map(src: Sequence[Point], dst: Sequence[Point],
                      backend: Backend) -> AffineMap:
     """The unique affine map sending three non-collinear source points to
-    three destination points; exact on rationals."""
+    three destination points; exact on rationals.  Its linear part sends the
+    edge vectors p1-p0, p2-p0 to q1-q0, q2-q0."""
     if len(src) != 3 or len(dst) != 3:
         raise CollinearSource("need exactly three source and destination points")
     if orientation(src[0], src[1], src[2], backend) == 0:
         raise CollinearSource("source triple is collinear")
-    one = backend.coerce(1)
-    m = [[p.x, p.y, one] for p in src]
-    a, b, tx = _solve3(m, [q.x for q in dst], backend)
-    c, d, ty = _solve3(m, [q.y for q in dst], backend)
+    (p0, p1, p2), (q0, q1, q2) = src, dst
+    ux, uy, vx, vy = p1.x - p0.x, p1.y - p0.y, p2.x - p0.x, p2.y - p0.y
+    sx, sy, tx, ty = q1.x - q0.x, q1.y - q0.y, q2.x - q0.x, q2.y - q0.y
+    den = ux * vy - vx * uy
+    if backend.cmp(den, 0 * den) == 0:
+        raise CollinearSource("source triple is collinear")
+    a, b = (sx * vy - tx * uy) / den, (tx * ux - sx * vx) / den
+    c, d = (sy * vy - ty * uy) / den, (ty * ux - sy * vx) / den
     det = a * d - b * c
     if backend.cmp(det, 0 * det) == 0:
         raise NonInvertible("destination triple is collinear")
-    return AffineMap(((a, b), (c, d)), (tx, ty))
+    return AffineMap(((a, b), (c, d)), (q0.x - a * p0.x - b * p0.y, q0.y - c * p0.x - d * p0.y))
 
 
 def regular_vertex(k: int, m: int) -> Point:
@@ -191,9 +191,7 @@ def normalize_to_regular(points: Sequence[Point], m: int, backend: Backend,
         raise TooFewPoints(f"need at least 3 points, got {n}")
     if n > m:
         raise TooFewPoints(f"cannot place {n} points on an {m}-gon")
-    if targets is None:
-        targets = list(range(n))
-    targets = list(targets)
+    targets = list(range(n) if targets is None else targets)
     if len(targets) != n or len(set(targets)) != n or not all(0 <= t < m for t in targets):
         raise ValueError(f"targets must be {n} distinct vertex indices below {m}")
     goal = [regular_vertex(t, m) for t in targets]

@@ -14,6 +14,7 @@ reports, so every predicate states explicitly which comparison rule it uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,21 +50,20 @@ class Backend:
         """Convert a raw coordinate to this backend's scalar type.
 
         Floats are refused by the exact backend: decimal input is never
-        silently rationalized.
+        silently rationalized.  The float backend refuses inf, nan and values
+        beyond the float range.
         """
         from .errors import BackendMismatch
 
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            raise BackendMismatch(f"not a coordinate: {value!r}")
         if self.exact:
-            if isinstance(value, bool):
-                raise BackendMismatch(f"not a coordinate: {value!r}")
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise BackendMismatch(
-                f"exact backend cannot take {type(value).__name__} value {value!r}"
-            )
-        if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+            if isinstance(value, float):
+                raise BackendMismatch(f"exact backend cannot take float value {value!r}")
+            return Fraction(value)
+        if abs(value) <= sys.float_info.max:  # false for inf and nan too
             return float(value)
-        raise BackendMismatch(f"not a coordinate: {value!r}")
+        raise BackendMismatch("float backend cannot take a coordinate beyond the float range")
 
     def eq(self, a, b) -> bool:
         """Backend equality of two scalars."""

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .conics import Conic, ConicGroup, conic_through_5, is_on_conic
+from .conics import Conic, ConicGroup
 from .errors import (
-    CollinearTriple,
     InconsistentGap,
     NotConvexPosition,
     SlopeSpectraError,
@@ -36,7 +35,7 @@ from .geometry import (
     points_equal,
     segments_parallel,
 )
-from .regularity import _cyclic_chain_failures, korchmaros_chain
+from .regularity import _cyclic_chain_failures, common_conic, convex_polygon, korchmaros_chain
 from .slopes import forbidden_slope_counts, slope_spectrum
 
 
@@ -145,16 +144,9 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
 
     pts = [config.points[i] for i in order]
     b = config.backend
-    try:
-        conic = conic_through_5(pts[:5], b)
-    except SlopeSpectraError as exc:
-        return Refutation(Stage.COCONIC, f"no conic through the first five hull points: {exc}")
-    if conic.degenerate:
-        return Refutation(Stage.COCONIC, "conic through the first five hull points is degenerate")
-    for pos in range(n):
-        if not is_on_conic(conic, pts[pos]):
-            return Refutation(Stage.COCONIC,
-                              f"point {order[pos]} is off the common conic", order[pos])
+    conic, reason, witness = common_conic(pts, order, b)
+    if reason is not None:
+        return Refutation(Stage.COCONIC, reason, witness)
 
     failures = _cyclic_chain_failures(pts, b)
     if not failures:
@@ -179,7 +171,7 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
         base = pts[(gap + 1) % n]
         gen = pts[(gap + 2) % n]
         group = ConicGroup(conic, base)
-        residues_by_pos = {(gap + 1 + t) % n: t for t in range(n)}
+        residues = [0] * n
         # step check on the input points, A_{t} = A_{t-1} + x, so no
         # rounding accumulates; distinct points make t*x != O for t < n
         for t in range(1, n):
@@ -188,6 +180,7 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
                 return Refutation(Stage.RECONSTRUCTION,
                                   f"hull point {pos} does not equal {t} times the generator",
                                   pos)
+            residues[order[pos]] = t
         nx = group.add(pts[gap], gen)
         if not points_equal(group.add(nx, gen), base, b):
             return Refutation(Stage.RECONSTRUCTION, "generator does not have order n+1")
@@ -197,9 +190,6 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
         # degenerate group arithmetic on near-instance float input
         return Refutation(Stage.RECONSTRUCTION, f"{type(exc).__name__}: {exc}")
 
-    residues = [0] * n
-    for pos, t in residues_by_pos.items():
-        residues[order[pos]] = t
     return Certificate(
         conic=conic,
         base_point=base,
@@ -257,18 +247,15 @@ def classify_proof_case(config: Configuration) -> ProofCase:
     n = len(config)
     if n < 7:
         raise TooFewPoints(f"need at least 7 points, got {n}")
-    gp, witness = is_general_position(config)
-    if not gp:
-        raise CollinearTriple(witness)
-    order = convex_position_order(config)
-    pts = [config.points[i] for i in order]
+    order, pts = convex_polygon(config)
     b = config.backend
 
     def par(i1, j1, i2, j2) -> bool:
         return segments_parallel(pts[i1 % n], pts[j1 % n], pts[i2 % n], pts[j2 % n], b)
 
     if not _cyclic_chain_failures(pts, b):
-        if all(par(i, i + 5, i + 1, i + 4) for i in range(n)):
+        skew = [i for i in range(n) if not par(i, i + 5, i + 1, i + 4)]
+        if not skew:
             return ProofCase(CaseTag.CASE_1_1, 0, False, None, order)
         for i in range(n):
             if par(i, i + 5, i + 2, i + 4):
@@ -276,23 +263,19 @@ def classify_proof_case(config: Configuration) -> ProofCase:
         for i in range(n):
             if par(i, i + 5, i + 1, i + 3):
                 return ProofCase(CaseTag.CASE_1_3, 0, False, i, order)
-        for i in range(n):
-            if not par(i, i + 5, i + 1, i + 4):
-                return ProofCase(CaseTag.CASE_1_4, 0, False, i, order)
-        raise SlopeSpectraError("unreachable: case 1 subcases are exhaustive")
+        return ProofCase(CaseTag.CASE_1_4, 0, False, skew[0], order)
 
     for rotation in range(n):
         for reflected in (False, True):
-            if reflected:
-                lab = [(rotation - t) % n for t in range(n)]
-            else:
-                lab = [(rotation + t) % n for t in range(n)]
-            L = [pts[i] for i in lab]
-            if segments_parallel(L[1], L[2], L[0], L[3], b):
+            step = -1 if reflected else 1
+            # A_t is hull position rotation + step*t; A_{n-2}, A_{n-1} are t = -2, -1
+            a0, a1, a2, a3, a_2, a_1 = (pts[(rotation + step * t) % n]
+                                        for t in (0, 1, 2, 3, -2, -1))
+            if segments_parallel(a1, a2, a0, a3, b):
                 continue
-            if _line_distance_cmp(L[1], L[2], L[3], L[0], b) >= 0:
+            if _line_distance_cmp(a1, a2, a3, a0, b) >= 0:
                 continue  # need A_3 strictly closer than A_0 to line A_1 A_2
-            if segments_parallel(L[n - 2], L[1], L[n - 1], L[0], b):
+            if segments_parallel(a_2, a1, a_1, a0, b):
                 return ProofCase(CaseTag.CASE_2_1, rotation, reflected, None, order)
             return ProofCase(CaseTag.CASE_2_2, rotation, reflected, None, order)
     raise SlopeSpectraError("no admissible reindexing found for case 2")

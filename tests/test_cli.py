@@ -109,6 +109,50 @@ class TestVerify:
         assert verdicts[str(bad)] == {"kind": "error",
                                       "error": "DuplicatePoints: points 0 and 2 coincide"}
 
+    @pytest.mark.parametrize("bad_text", ["1e999 9\n", f"{10 ** 400} 9\n0.5 1\n"],
+                             ids=["inf", "int"])
+    def test_coordinate_beyond_float_range(self, instance_file, tmp_path, capsys, bad_text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 0\n1 0\n" + bad_text)
+        code, out, _ = run(capsys, "verify", instance_file, str(bad), "--json")
+        assert code == EXIT_ERROR
+        docs = [json.loads(doc + "}") for doc in out.split("\n}\n") if doc.strip()]
+        assert [d["payload"]["file"] for d in docs] == [instance_file, str(bad)]
+        assert docs[0]["payload"]["verdict"]["kind"] == "certificate"
+        assert docs[1]["payload"]["verdict"]["kind"] == "error"
+        assert "BackendMismatch" in docs[1]["payload"]["verdict"]["error"]
+
+    def test_jobs_capped_by_file_count(self, instance_file, capsys, monkeypatch):
+        from slopespectra import cli
+
+        started = []
+
+        class InProcessPool:
+            """Records the requested worker count; runs the work here."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        code, out, _ = run(capsys, "verify", instance_file, instance_file, "--jobs", "64")
+        assert code == EXIT_OK and out.count("command: verify") == 2
+        assert started == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+    def test_jobs_below_one_is_usage_error(self, instance_file, capsys, jobs):
+        code, out, err = run_to_exit(capsys, "verify", instance_file, "--jobs", jobs)
+        assert code == 2
+        assert out == "" and err.count("error:") == 1 and "usage:" in err
+
     def test_refutation_outranked_only_by_error(self, instance_file, tmp_path, capsys):
         octagon = tmp_path / "octagon.txt"
         main(["generate", "--polygon", "8"])

@@ -1,5 +1,6 @@
 """Points, directions, orientation, hulls."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,14 @@ class TestConfiguration:
     def test_float_backend_accepts_everything(self):
         cfg = float_config([(F(1, 2), 1), (2.5, 3), (4, 5)])
         assert cfg.points[0].x == 0.5
+
+    @pytest.mark.parametrize("big", [math.inf, -math.inf, 10 ** 400, F(10 ** 400, 3)],
+                             ids=["inf", "-inf", "int", "fraction"])
+    def test_float_backend_refuses_beyond_float_range(self, big):
+        # an infinite coordinate would reach the hull as a float it cannot
+        # put on the integer grid, or equal every point for Backend.eq
+        with pytest.raises(BackendMismatch):
+            Configuration.from_coords([(0, 0), (big, 9), (0.5, 3)], float_backend())
 
 
 class TestGeneralPosition:

@@ -115,6 +115,25 @@ class TestIsAffinelyRegular:
             assert residual <= 10 * cfg.backend.eps_rel
 
 
+class TestCommonConic:
+    def test_witness_is_input_index(self):
+        # the regular 9-gon with vertex 3 pushed 1% outward stays convex; its
+        # hull order starts at vertex 5, so vertex 3 sits at hull position 7
+        from slopespectra import Configuration
+        from slopespectra.regularity import common_conic, convex_polygon
+
+        coords = [tuple(p) for p in regular_polygon(9).points]
+        coords[3] = (1.01 * coords[3][0], 1.01 * coords[3][1])
+        cfg = Configuration.from_coords(coords, float_backend())
+        order, pts = convex_polygon(cfg)
+        assert order[0] == 5 and order.index(3) == 7
+        conic, reason, witness = common_conic(pts, order, cfg.backend)
+        assert not conic.degenerate
+        assert (reason, witness) == ("point 3 is off the common conic", 3)
+        cert = is_affinely_regular(cfg)
+        assert not cert.granted and cert.reason == reason
+
+
 class TestSolveAffineMap:
     def test_identity(self):
         tri = [ep(0, 0), ep(1, 0), ep(0, 1)]
