@@ -7,12 +7,13 @@ usage errors (argparse), malformed option text included.  verify with
 several files reports every file, an unreadable one as a report with an
 "error" verdict, and exits 1 if any file errored, else 3 if any was
 refuted, else 0.  SLOPESPECTRA_EPS overrides the default float tolerance
-when --eps is not given; either must be a positive finite number.
+when --eps is not given; either must lie in (0, 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import os
 import sys
@@ -45,7 +46,7 @@ def _eps(text: str) -> float:
         return float_backend(float(text)).eps_rel
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"the tolerance (--eps or {ENV_EPS}) must be a positive finite number, "
+            f"the tolerance (--eps or {ENV_EPS}) must be a positive finite number below 1, "
             f"got {text!r}") from None
 
 
@@ -111,13 +112,14 @@ def _resolve_backend(args):
 
 
 def _load(path: str, args) -> tuple[Configuration, str]:
-    data = Path(path).read_bytes()
+    raw = Path(path).read_bytes()
+    data = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise ParseError(data[:exc.start].count(b"\n") + 1, "not UTF-8 text") from exc
     config = parse_point_text(text, _resolve_backend(args), args.eps)
-    return config, rep.input_digest(data)
+    return config, rep.input_digest(raw)
 
 
 def _report(command: str, config: Configuration, digest: str, payload: dict, t0: float) -> dict:

@@ -3,7 +3,8 @@
 Directions are canonical representatives of parallelism classes: on the
 exact backend an integer-primitive pair (dx, dy) with dx > 0 (or dx = 0,
 dy > 0); on the float backend a unit vector whose angle lies in [0, pi).
-Two directions are parallel iff their cross product is (tolerance-)zero.
+Every parallel, collinear and which-side decision is the sign of one cross
+product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 
 A configuration partitions its pairs into parallelism classes once
 (`Configuration.direction_classes`): the exact backend hashes every pair by
@@ -28,7 +29,7 @@ from .errors import (
     NotConvexPosition,
     TooFewPoints,
 )
-from .scalars import Backend
+from .scalars import EXACT, Backend
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,19 @@ def direction(p: Point, q: Point, backend: Backend) -> Direction:
     return direction_from_vector(q.x - p.x, q.y - p.y, backend)
 
 
+def turn(ux, uy, vx, vy, backend: Backend) -> int:
+    """Sign of u x v: +1 ccw, -1 cw, 0 parallel; exact on rationals.  On floats
+    0 iff |u x v| <= eps_rel |u| |v|, a sine bound that no scaling moves, with
+    the eps, in radians, within which `direction_classes` merges pair angles."""
+    cross = ux * vy - uy * vx
+    if backend.exact or abs(cross) > backend.eps_rel * math.hypot(ux, uy) * math.hypot(vx, vy):
+        return (cross > 0) - (cross < 0)
+    return 0
+
+
 def directions_parallel(d1: Direction, d2: Direction, backend: Backend) -> bool:
-    """Direction equality: cross product (tolerance-)zero."""
-    cross = d1.dx * d2.dy - d1.dy * d2.dx
-    if backend.exact:
-        return cross == 0
-    # unit vectors: cross = sin of the angle between them
-    return abs(cross) <= backend.eps_rel
+    """Direction equality: the two directions do not turn."""
+    return turn(d1.dx, d1.dy, d2.dx, d2.dy, backend) == 0
 
 
 def points_equal(p: Point, q: Point, backend: Backend) -> bool:
@@ -148,17 +155,13 @@ def points_equal(p: Point, q: Point, backend: Backend) -> bool:
 
 
 def orientation(p: Point, q: Point, r: Point, backend: Backend) -> int:
-    """Sign of the cross product (Q-P) x (R-P): +1 ccw, -1 cw, 0 collinear."""
-    t1 = (q.x - p.x) * (r.y - p.y)
-    t2 = (q.y - p.y) * (r.x - p.x)
-    return backend.cmp(t1, t2)
+    """Turn of P -> Q -> R: +1 ccw, -1 cw, 0 collinear."""
+    return turn(q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y, backend)
 
 
 def segments_parallel(p: Point, q: Point, r: Point, s: Point, backend: Backend) -> bool:
     """Whether segment PQ is parallel to segment RS."""
-    t1 = (q.x - p.x) * (s.y - r.y)
-    t2 = (q.y - p.y) * (s.x - r.x)
-    return backend.cmp(t1, t2) == 0
+    return turn(q.x - p.x, q.y - p.y, s.x - r.x, s.y - r.y, backend) == 0
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ def convex_position_order(config: Configuration) -> tuple[int, ...]:
             rx, ry = grid[i]
             while len(chain) >= 2:
                 (px, py), (qx, qy) = grid[chain[-2]], grid[chain[-1]]
-                if (qx - px) * (ry - py) > (qy - py) * (rx - px):
+                if turn(qx - px, qy - py, rx - px, ry - py, EXACT) > 0:
                     break
                 chain.pop()
             chain.append(i)

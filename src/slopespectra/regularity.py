@@ -28,8 +28,8 @@ from .geometry import (
     Point,
     convex_position_order,
     is_general_position,
-    orientation,
     segments_parallel,
+    turn,
 )
 from .scalars import Backend
 
@@ -153,19 +153,16 @@ def solve_affine_map(src: Sequence[Point], dst: Sequence[Point],
     edge vectors p1-p0, p2-p0 to q1-q0, q2-q0."""
     if len(src) != 3 or len(dst) != 3:
         raise CollinearSource("need exactly three source and destination points")
-    if orientation(src[0], src[1], src[2], backend) == 0:
-        raise CollinearSource("source triple is collinear")
     (p0, p1, p2), (q0, q1, q2) = src, dst
     ux, uy, vx, vy = p1.x - p0.x, p1.y - p0.y, p2.x - p0.x, p2.y - p0.y
     sx, sy, tx, ty = q1.x - q0.x, q1.y - q0.y, q2.x - q0.x, q2.y - q0.y
-    den = ux * vy - vx * uy
-    if backend.cmp(den, 0 * den) == 0:
+    if turn(ux, uy, vx, vy, backend) == 0:
         raise CollinearSource("source triple is collinear")
+    if turn(sx, sy, tx, ty, backend) == 0:
+        raise NonInvertible("destination triple is collinear")
+    den = ux * vy - vx * uy
     a, b = (sx * vy - tx * uy) / den, (tx * ux - sx * vx) / den
     c, d = (sy * vy - ty * uy) / den, (ty * ux - sy * vx) / den
-    det = a * d - b * c
-    if backend.cmp(det, 0 * det) == 0:
-        raise NonInvertible("destination triple is collinear")
     return AffineMap(((a, b), (c, d)), (q0.x - a * p0.x - b * p0.y, q0.y - c * p0.x - d * p0.y))
 
 

@@ -5,15 +5,15 @@ backend stores coordinates as ``fractions.Fraction`` (always gcd-reduced with
 positive denominator) and compares them exactly; the float backend stores
 plain ``float`` values and treats two values as equal when
 
-    |a - b| <= eps_rel * max(1, |a|, |b|).
+    |a - b| <= eps_rel * max(1, |a|, |b|),  0 < eps_rel < 1.
 
-Backends are small immutable objects carried by configurations, conics and
-reports, so every predicate states explicitly which comparison rule it uses.
+Direction decisions use the sine test of `geometry.turn` instead, with the
+same eps_rel.  Backends are small immutable objects carried by configurations,
+conics and reports, so every predicate states which comparison rule it uses.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +39,8 @@ class Backend:
     def __post_init__(self):
         if self.kind not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if not 0 < self.eps_rel < math.inf:
-            raise ValueError("the tolerance must be positive and finite")
+        if not 0 < self.eps_rel < 1:  # at 1, eq(0, x) holds for most x
+            raise ValueError("the tolerance must lie in (0, 1)")
 
     @property
     def exact(self) -> bool:

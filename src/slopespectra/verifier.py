@@ -34,6 +34,7 @@ from .geometry import (
     is_general_position,
     points_equal,
     segments_parallel,
+    turn,
 )
 from .regularity import _cyclic_chain_failures, common_conic, convex_polygon, korchmaros_chain
 from .slopes import forbidden_slope_counts, slope_spectrum
@@ -227,13 +228,6 @@ class ProofCase:
     hull_order: tuple[int, ...]
 
 
-def _line_distance_cmp(p, q, a, b_pt, backend) -> int:
-    """Compare dist(a, line pq) vs dist(b_pt, line pq) via cross magnitudes."""
-    t1 = abs((q.x - p.x) * (a.y - p.y) - (q.y - p.y) * (a.x - p.x))
-    t2 = abs((q.x - p.x) * (b_pt.y - p.y) - (q.y - p.y) * (b_pt.x - p.x))
-    return backend.cmp(t1, t2)
-
-
 def classify_proof_case(config: Configuration) -> ProofCase:
     """Tag the configuration with the structural case of the chain analysis.
 
@@ -271,10 +265,12 @@ def classify_proof_case(config: Configuration) -> ProofCase:
             # A_t is hull position rotation + step*t; A_{n-2}, A_{n-1} are t = -2, -1
             a0, a1, a2, a3, a_2, a_1 = (pts[(rotation + step * t) % n]
                                         for t in (0, 1, 2, 3, -2, -1))
-            if segments_parallel(a1, a2, a0, a3, b):
+            # A_0, A_3 lie on one side of line A_1 A_2 (u): A_3 is strictly closer
+            # iff A_3 - A_0 turns against A_0 - A_1; 0 when A_0 A_3 || A_1 A_2
+            ux, uy = a2.x - a1.x, a2.y - a1.y
+            if turn(ux, uy, a3.x - a0.x, a3.y - a0.y, b) * \
+                    turn(ux, uy, a0.x - a1.x, a0.y - a1.y, b) >= 0:
                 continue
-            if _line_distance_cmp(a1, a2, a3, a0, b) >= 0:
-                continue  # need A_3 strictly closer than A_0 to line A_1 A_2
             if segments_parallel(a_2, a1, a_1, a0, b):
                 return ProofCase(CaseTag.CASE_2_1, rotation, reflected, None, order)
             return ProofCase(CaseTag.CASE_2_2, rotation, reflected, None, order)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
+import codecs
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +155,18 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.count("error:") == 1 and "usage:" in err
 
+    def test_bom_file_same_verdict(self, instance_file, tmp_path, capsys):
+        data = Path(instance_file).read_bytes()
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(codecs.BOM_UTF8 + data)
+        reports = []
+        for path in (instance_file, str(bom)):
+            code, out, _ = run(capsys, "verify", path, "--json")
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        assert reports[0]["payload"]["verdict"] == reports[1]["payload"]["verdict"]
+        assert reports[1]["input_sha256"] == hashlib.sha256(codecs.BOM_UTF8 + data).hexdigest()
+
     def test_refutation_outranked_only_by_error(self, instance_file, tmp_path, capsys):
         octagon = tmp_path / "octagon.txt"
         main(["generate", "--polygon", "8"])
@@ -185,6 +199,13 @@ class TestAnalyze:
     def test_undecodable_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"0 0\n1 0 # caf\xe9\n1 1\n")
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_ERROR
+        assert "ParseError: line 2: not UTF-8 text" in err
+
+    def test_bom_file_keeps_line_numbers(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"0 0\n\xff 1\n1 1\n")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == EXIT_ERROR
         assert "ParseError: line 2: not UTF-8 text" in err
@@ -321,13 +342,15 @@ class TestBadOptionValues:
         ["analyze", "--eps", "0"],
         ["verify", "--eps", "nan"],
         ["verify", "--eps", "inf"],
-    ], ids=["verify-negative", "analyze-negative", "zero", "nan", "inf"])
+        ["verify", "--eps", "1"],
+        ["analyze", "--backend", "float", "--eps", "2"],
+    ], ids=["verify-negative", "analyze-negative", "zero", "nan", "inf", "one", "two"])
     def test_eps_flag(self, instance_file, capsys, argv):
         code, _, err = run_to_exit(capsys, argv[0], instance_file, *argv[1:])
         assert code == 2
         assert err.count("error:") == 1 and "positive finite" in err
 
-    @pytest.mark.parametrize("value", ["-1", "0", "abc"])
+    @pytest.mark.parametrize("value", ["-1", "0", "abc", "5"])
     def test_eps_env(self, instance_file, capsys, monkeypatch, value):
         monkeypatch.setenv("SLOPESPECTRA_EPS", value)
         code, _, err = run_to_exit(capsys, "verify", instance_file)

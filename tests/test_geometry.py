@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 
 from slopespectra import (
     Configuration,
+    Direction,
     EXACT,
     Point,
     convex_position_order,
+    delete_vertices,
     direction,
+    direction_from_vector,
+    directions_parallel,
     float_backend,
     is_general_position,
     orientation,
+    random_general_position,
+    regular_polygon,
+    segments_parallel,
 )
 from slopespectra.errors import (
     BackendMismatch,
@@ -118,6 +125,64 @@ class TestOrientation:
         b = float_backend(1e-9)
         assert orientation(Point(0.0, 0.0), Point(1.0, 1.0), Point(2.0, 2.0 + 1e-13), b) == 0
         assert orientation(Point(0.0, 0.0), Point(1.0, 1.0), Point(2.0, 2.1), b) == 1
+
+
+def scaled(cfg, k):
+    """The float configuration times 2^k, an exact scaling."""
+    return Configuration.from_coords(
+        [(math.ldexp(float(p.x), k), math.ldexp(float(p.y), k)) for p in cfg.points],
+        float_backend())
+
+
+# magnitudes in [1e-3, 1e3] or 0: no product of coordinate differences
+# times 2^k, |k| <= 40, leaves the normal float range, so scaling is exact
+COORD = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+class TestTurn:
+    """Float parallel and collinear decisions are one sine test: scale-free,
+    and in agreement with the angle merge of the incidence pass."""
+
+    @pytest.mark.parametrize("cfg", [
+        delete_vertices(regular_polygon(12), [1]),
+        Configuration.from_coords(
+            [(float(p.x), float(p.y)) for p in random_general_position(12, 1).points],
+            float_backend()),
+    ], ids=["11-of-12-gon", "random"])
+    def test_small_scale_keeps_every_triple_turning(self, cfg):
+        assert is_general_position(cfg) == (True, None)
+        small = scaled(cfg, -20)
+        n = len(small)
+        assert all(orientation(small[i], small[j], small[k], small.backend) != 0
+                   for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+
+    @given(pts=st.lists(st.tuples(COORD, COORD), min_size=4, max_size=4),
+           k=st.integers(-40, 40))
+    @settings(derandomize=True, max_examples=300)
+    def test_verdicts_are_scale_free(self, pts, k):
+        b = float_backend()
+        p = [Point(x, y) for x, y in pts]
+        q = [Point(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts]
+        assert orientation(*q[:3], b) == orientation(*p[:3], b)
+        assert segments_parallel(*q, b) == segments_parallel(*p, b)
+        du, dv = (Direction(x, y, False) for x, y in pts[:2])
+        su, sv = (Direction(math.ldexp(x, k), math.ldexp(y, k), False) for x, y in pts[:2])
+        assert directions_parallel(su, sv, b) == directions_parallel(du, dv, b)
+
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_merged_neighbours_are_parallel(self, k):
+        cfg = scaled(delete_vertices(regular_polygon(64), [0]), k)
+        pts, b = cfg.points, cfg.backend
+        for _, pairs in cfg.direction_classes:
+            by_angle = sorted(pairs, key=lambda ij: direction_from_vector(
+                pts[ij[1]].x - pts[ij[0]].x, pts[ij[1]].y - pts[ij[0]].y, b).angle)
+            for (i, j), (r, s) in zip(by_angle, by_angle[1:]):
+                assert segments_parallel(pts[i], pts[j], pts[r], pts[s], b)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_tolerance_lies_below_one(self, eps):
+        with pytest.raises(ValueError):
+            float_backend(eps)
 
 
 class TestConfiguration:

@@ -17,6 +17,7 @@ from slopespectra import (
     Configuration,
     Criticality,
     classify_criticality,
+    classify_proof_case,
     convex_position_order,
     delete_vertices,
     float_backend,
@@ -130,6 +131,20 @@ def orientation_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cmp_calls(monkeypatch):
+    """Counts calls of `Backend.cmp`, the floored three-way comparison."""
+    original = slopespectra.Backend.cmp
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(slopespectra.Backend, "cmp", counted)
+    return calls
+
+
 class TestScaling:
     """Orientation tests made, where the triple loops made O(n^3), and
     Direction objects made, counted rather than timed."""
@@ -157,6 +172,15 @@ class TestScaling:
     def test_generator_makes_none(self, orientation_calls):
         random_general_position(60, 1)
         assert orientation_calls[0] == 0
+
+    def test_float_verify_makes_no_cmp(self, cmp_calls):
+        # every direction decision is the sine test of `geometry.turn`
+        verify_theorem(delete_vertices(regular_polygon(256), [0]))
+        assert cmp_calls[0] == 0
+
+    def test_float_proof_case_makes_no_cmp(self, cmp_calls):
+        classify_proof_case(delete_vertices(regular_polygon(12), [1]))
+        assert cmp_calls[0] == 0
 
     def test_float_pass_makes_one_direction_per_class(self, monkeypatch):
         # a key per pair, a Direction per class: not one per pair

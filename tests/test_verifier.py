@@ -23,6 +23,7 @@ from slopespectra import (
     group_neg,
     group_scalar_mul,
     is_affinely_regular,
+    korchmaros_chain,
     normalize_to_regular,
     perturb,
     points_equal,
@@ -274,6 +275,17 @@ class TestCaseClassification:
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
             classify_proof_case(parabola_config([0, 1, 2, 3, 4, 5]))
+
+    def test_small_scale_keeps_chain_and_case(self):
+        # scaling by 2^-20 is exact on floats and moves no verdict
+        cfg = gon_minus(12, 1)
+        small = Configuration.from_coords(
+            [(math.ldexp(p.x, -20), math.ldexp(p.y, -20)) for p in cfg.points], cfg.backend)
+        assert korchmaros_chain(small.points, small.backend) == \
+            korchmaros_chain(cfg.points, cfg.backend) == (False, 0)
+        case = classify_proof_case(cfg)
+        assert (case.tag, case.rotation) == (CaseTag.CASE_2_2, 6)
+        assert classify_proof_case(small) == case
 
 
 def _case2_labels(cfg, case):
