@@ -166,17 +166,35 @@ def segments_parallel(p: Point, q: Point, r: Point, s: Point, backend: Backend) 
 
 @dataclass(frozen=True)
 class Configuration:
-    """An immutable indexed set of pairwise-distinct planar points."""
+    """An immutable indexed set of pairwise-distinct planar points.
+
+    `DuplicatePoints` names the lexicographically first pair (i, j), i < j,
+    with `points_equal`: exact input is hashed by its coordinates, O(n); float
+    input is sorted by x and swept, O(n log n) plus the pairs in the window.
+    """
 
     points: tuple[Point, ...]
     backend: Backend
 
     def __post_init__(self):
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if points_equal(pts[i], pts[j], self.backend):
-                    raise DuplicatePoints(i, j)
+        pts, b = self.points, self.backend
+        if b.exact:  # equal rationals hash equal
+            first: dict = {}
+            equal = [(first.setdefault((p.x, p.y), j), j) for j, p in enumerate(pts)]
+        else:
+            # x_j - x_i > 2 eps max(1, |x_i|, |x_j|) ends the sweep from x_i:
+            # no x_k >= x_j then has x_k - x_i <= eps max(1, |x_i|, |x_k|), eps < 1
+            xs = [p.x for p in pts]
+            order = sorted(range(len(pts)), key=xs.__getitem__)
+            equal = []
+            for a, i in enumerate(order):
+                for j in (order[c] for c in range(a + 1, len(order))):
+                    if xs[j] - xs[i] > 2 * b.eps_rel * max(1.0, abs(xs[i]), abs(xs[j])):
+                        break
+                    if points_equal(pts[i], pts[j], b):
+                        equal.append((min(i, j), max(i, j)))
+        if (pair := min((ij for ij in equal if ij[0] != ij[1]), default=None)) is not None:
+            raise DuplicatePoints(*pair)
 
     @classmethod
     def from_coords(cls, coords: Iterable, backend: Backend) -> "Configuration":
@@ -218,25 +236,25 @@ class Configuration:
             return tuple((integer_direction(key), tuple(classes[key]))
                          for key in sorted(classes))
 
-        items = [(_unit_direction(q.x - p.x, q.y - p.y)[2], i, j)
-                 for i, p in enumerate(pts) for j, q in enumerate(pts[i + 1:], i + 1)]
-        items.sort()
-        groups: list[list] = []
-        for item in items:
-            if groups and item[0] - groups[-1][-1][0] <= b.eps_rel:
-                groups[-1].append(item)
-            else:
-                groups.append([item])
+        n, eps = len(pts), b.eps_rel
+        xs, ys = [p.x for p in pts], [p.y for p in pts]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        angles = [_unit_direction(xj - xi, yj - yi)[2] for i, xi, yi in zip(range(n), xs, ys)
+                  for xj, yj in zip(xs[i + 1:], ys[i + 1:])]
+        # a stable sort on keys in pair order gives the (angle, i, j) order;
+        # a NaN angle (an overflowed difference) is a class of its own
+        order = sorted(range(len(angles)), key=angles.__getitem__)
+        ordered = [angles[k] for k in order]
+        cuts = [t for t in range(1, len(ordered)) if not ordered[t] - ordered[t - 1] <= eps]
+        groups = [order[s:e] for s, e in zip([0] + cuts, cuts + [len(order)]) if s < e]
         # the last group may continue into the first across pi/0; either
-        # way each group starts with its smallest item, in ascending order
-        if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_rel:
+        # way each group starts with its smallest key, in ascending order
+        if len(groups) > 1 and ordered[0] + math.pi - ordered[-1] <= eps:
             groups[0] += groups.pop()
-        out = []
-        for grp in groups:
-            _, i, j = grp[0]
-            d = direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b)
-            out.append((d, tuple(sorted((i, j) for _, i, j in grp))))
-        return tuple(out)
+        firsts = [pairs[grp[0]] for grp in groups]
+        return tuple((direction_from_vector(xs[j] - xs[i], ys[j] - ys[i], b),
+                      tuple(map(pairs.__getitem__, sorted(grp))))
+                     for (i, j), grp in zip(firsts, groups))
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:

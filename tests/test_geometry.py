@@ -20,6 +20,7 @@ from slopespectra import (
     float_backend,
     is_general_position,
     orientation,
+    points_equal,
     random_general_position,
     regular_polygon,
     segments_parallel,
@@ -185,7 +186,57 @@ class TestTurn:
             float_backend(eps)
 
 
+def brute_duplicate(points, backend):
+    """The lexicographically first pair (i, j) of equal points, or None."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points_equal(points[i], points[j], backend):
+                return (i, j)
+    return None
+
+
+@st.composite
+def duplicate_candidates(draw):
+    """Points at one magnitude, with near-duplicates just inside and just
+    outside the float equality bound, shared x columns and exact copies."""
+    eps = float_backend().eps_rel
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6, 1e12]))
+    if draw(st.booleans()):
+        # mirror pairs (cos t, sin t) and (cos -t, sin -t) share their x
+        m = draw(st.integers(3, 24))
+        coords = [(p.x * scale, p.y * scale) for p in regular_polygon(m).points]
+    else:
+        unit = st.floats(-2.0, 2.0, allow_nan=False)
+        coords = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=8))
+        coords = [(x * scale, y * scale) for x, y in coords]
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = coords[draw(st.integers(0, len(coords) - 1))]
+        kind = draw(st.sampled_from(["copy", "column", "near"]))
+        if kind == "column":
+            y = draw(st.floats(-2.0, 2.0, allow_nan=False)) * scale
+        elif kind == "near":
+            # a multiple of the equality bound eps max(1, |v|) per coordinate
+            f = st.sampled_from([0.0, 0.5, 0.999, -0.999, 1.001, -1.001, 2.0])
+            x += draw(f) * eps * max(1.0, abs(x))
+            y += draw(f) * eps * max(1.0, abs(y))
+        coords.append((x, y))
+    return draw(st.permutations(coords))
+
+
 class TestConfiguration:
+    @given(duplicate_candidates())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_duplicate_witness_is_first_equal_pair(self, coords):
+        for b, num in ((float_backend(), float), (EXACT, Fraction)):
+            points = tuple(Point(num(x), num(y)) for x, y in coords)
+            witness = brute_duplicate(points, b)
+            if witness is None:
+                Configuration(points, b)
+            else:
+                with pytest.raises(DuplicatePoints) as exc:
+                    Configuration(points, b)
+                assert exc.value.indices == witness
+
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoints):
             exact_config([(0, 0), (1, 1), (0, 0)])

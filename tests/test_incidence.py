@@ -3,8 +3,12 @@ cost in orientation tests counted rather than timed.
 
 The oracles here loop over pairs and triples with their own rational
 arithmetic; they share no code with `Configuration.direction_classes`.
+`tuple_pass`, the float pass as sorted (angle, i, j) tuples, shares its
+angle routine: it checks the pass's sort and merge, bit for bit.
 """
 
+import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -14,8 +18,10 @@ from hypothesis import strategies as st
 
 import slopespectra
 from slopespectra import (
+    AffineMap,
     Configuration,
     Criticality,
+    apply_affine,
     classify_criticality,
     classify_proof_case,
     convex_position_order,
@@ -23,6 +29,7 @@ from slopespectra import (
     float_backend,
     forbidden_slope_table,
     is_general_position,
+    perturb,
     random_convex_position,
     random_general_position,
     random_noncollinear,
@@ -30,8 +37,10 @@ from slopespectra import (
     slope_spectrum,
     verify_theorem,
 )
+from slopespectra.errors import DuplicatePoints
+from slopespectra.geometry import _unit_direction, direction_from_vector
 
-from conftest import brute_slope_count, exact_config
+from conftest import brute_slope_count, exact_config, float_config
 
 
 def _slope(p, q):
@@ -145,6 +154,99 @@ def cmp_calls(monkeypatch):
     return calls
 
 
+def tuple_pass(config):
+    """The float incidence pass as one sorted list of (angle, i, j) tuples,
+    merged by neighbours within eps_rel radians, the pi/0 wraparound
+    included: an independent formulation of the same classes."""
+    pts, b = config.points, config.backend
+    items = [(_unit_direction(q.x - p.x, q.y - p.y)[2], i, j)
+             for i, p in enumerate(pts) for j, q in enumerate(pts[i + 1:], i + 1)]
+    items.sort()
+    groups = []
+    for item in items:
+        if groups and item[0] - groups[-1][-1][0] <= b.eps_rel:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    if len(groups) > 1 and groups[0][0][0] + math.pi - groups[-1][-1][0] <= b.eps_rel:
+        groups[0] += groups.pop()
+    out = []
+    for grp in groups:
+        _, i, j = grp[0]
+        d = direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b)
+        out.append((d, tuple(sorted((i, j) for _, i, j in grp))))
+    return tuple(out)
+
+
+def bits(classes):
+    """Each class as the bytes of dx, dy and angle, and its pairs."""
+    return [(struct.pack("<3d", d.dx, d.dy, d.angle), pairs) for d, pairs in classes]
+
+
+def assert_same_pass(config):
+    assert bits(config.direction_classes) == bits(tuple_pass(config))
+
+
+def power_scaled(config, k, backend):
+    return Configuration.from_coords(
+        [(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in config.points], backend)
+
+
+MAPS = [AffineMap(((1, 0), (0, 1)), (0, 0)), AffineMap(((2, 1), (0, 3)), (1, 1)),
+        AffineMap(((0.3, -1.7), (2.5, 0.1)), (1e3, -7))]
+
+
+class TestFloatPass:
+    """`direction_classes` on floats against `tuple_pass`, bit for bit."""
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=2, max_size=24, unique=True))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_sets(self, coords):
+        try:
+            cfg = Configuration.from_coords(coords, float_backend())
+        except DuplicatePoints:
+            return
+        assert_same_pass(cfg)
+
+    @pytest.mark.parametrize("m", [8, 12, 31, 64])
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-9, 1e-6])
+    def test_affine_polygons_and_perturbations(self, m, delta):
+        base = delete_vertices(regular_polygon(m), [m // 3])
+        for seed, T in enumerate(MAPS):
+            assert_same_pass(perturb(apply_affine(base, T), delta, seed))
+
+    @given(st.integers(-40, 40), st.sampled_from([12, 31]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_power_of_two_scalings(self, k, m):
+        # at the default eps the equality floor max(1, ...) makes points of
+        # the 2^-40 image duplicates; 1e-14 keeps them apart
+        b = float_backend(1e-14)
+        assert_same_pass(power_scaled(delete_vertices(regular_polygon(m), [1]), k, b))
+
+    def test_overflowing_differences(self):
+        # differences of +-1e308 overflow to inf, and their angles are NaN
+        big = 1e308
+        cfg = float_config([(big, 0.0), (-big, 1.0), (0.0, big), (big, -big),
+                            (-big, big), (0.5, 0.25), (-1.5 * big, -1.5 * big)])
+        assert any(math.isnan(d.angle) for d, _ in cfg.direction_classes)
+        assert_same_pass(cfg)
+
+
+@pytest.fixture
+def eq_calls(monkeypatch):
+    """Counts calls of `Backend.eq`, the scalar equality rule."""
+    original = slopespectra.Backend.eq
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(slopespectra.Backend, "eq", counted)
+    return calls
+
+
 class TestScaling:
     """Orientation tests made, where the triple loops made O(n^3), and
     Direction objects made, counted rather than timed."""
@@ -195,6 +297,18 @@ class TestScaling:
         monkeypatch.setattr(slopespectra.geometry, "Direction", counted)
         classes = cfg.direction_classes
         assert made[0] == len(classes) < len(cfg) * (len(cfg) - 1) // 2
+
+    def test_float_duplicate_test_is_a_sweep(self, eq_calls):
+        # the mirror pairs of the 1000-gon share their x; no other pair is
+        # within the sweep's window
+        regular_polygon(1000)
+        assert eq_calls[0] <= 2 * 1000
+
+    def test_exact_duplicate_test_makes_none(self, eq_calls):
+        cfg = random_general_position(200, 3)
+        eq_calls[0] = 0
+        Configuration(cfg.points, cfg.backend)
+        assert eq_calls[0] == 0
 
     def test_exact_hull_makes_none(self, orientation_calls):
         cfg = random_convex_position(150, 1)
