@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -180,6 +179,17 @@ def _verify_one(path: str, args) -> dict:
         return rep.build_report("verify", args.backend, args.eps, None, payload,
                                 (time.perf_counter() - t0) * 1e3)
     return _report("verify", config, digest, payload, t0)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A pool of worker processes for verify --jobs.
+
+    Imported here, not at the top: concurrent.futures loads multiprocessing,
+    logging, socket and pickle, which only verify --jobs with two or more
+    files needs.  Tests replace this name with an in-process pool.
+    """
+    from concurrent import futures
+    return futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def cmd_verify(args) -> int:

@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BackendMismatch
+
 RATIONAL = "rational"
 FLOAT = "float"
 
@@ -53,8 +55,6 @@ class Backend:
         silently rationalized.  The float backend refuses inf, nan and values
         beyond the float range.
         """
-        from .errors import BackendMismatch
-
         if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
             raise BackendMismatch(f"not a coordinate: {value!r}")
         if self.exact:

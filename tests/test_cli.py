@@ -16,6 +16,9 @@ from slopespectra import report
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
 
 
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(slopespectra.__file__).parents[1])}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -110,6 +113,20 @@ class TestVerify:
         assert verdicts[instance_file]["kind"] == "certificate"
         assert verdicts[str(bad)] == {"kind": "error",
                                       "error": "DuplicatePoints: points 0 and 2 coincide"}
+
+    def test_jobs_under_python_m(self, instance_file, tmp_path):
+        """The real pool, with cli as __main__ as users and perfbench start it."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 0\n1 0\n0 0\n2 3\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "slopespectra.cli", "verify", instance_file, str(bad),
+             "--json", "--jobs", "2"],
+            env=CHILD_ENV, capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR and "Traceback" not in proc.stderr
+        docs = [json.loads(doc + "}") for doc in proc.stdout.split("\n}\n") if doc.strip()]
+        verdicts = {d["payload"]["file"]: d["payload"]["verdict"] for d in docs}
+        assert verdicts[instance_file]["kind"] == "certificate"
+        assert verdicts[str(bad)]["kind"] == "error"
 
     @pytest.mark.parametrize("bad_text", ["1e999 9\n", f"{10 ** 400} 9\n0.5 1\n"],
                              ids=["inf", "int"])
@@ -310,6 +327,24 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_process_pool_at_start(self, instance_file, tmp_path, capsys):
+        """Only verify --jobs with two or more files imports the process pool."""
+        octagon = tmp_path / "octagon.txt"
+        main(["generate", "--polygon", "8"])
+        octagon.write_text(capsys.readouterr().out)
+        code = ("import sys; sys.modules['multiprocessing'] = None; "
+                "sys.modules['concurrent.futures'] = None; "
+                "from slopespectra.cli import main; good, other = sys.argv[1:]; "
+                "codes = [main(['verify', good, '--json']), main(['verify', good, other]), "
+                "main(['analyze', good]), main(['case', good]), "
+                "main(['render', good, '--highlight', 'conic']), "
+                "main(['generate', '--polygon', '8']), main(['generate', '--random', '8'])]; "
+                "print(codes, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, instance_file, str(octagon)],
+                              env=CHILD_ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == str([EXIT_OK, EXIT_REFUTED] + [EXIT_OK] * 5)
 
 
 class TestEnvEps:
