@@ -7,13 +7,15 @@ usage errors (argparse), malformed option text included.  verify with
 several files reports every file, an unreadable one as a report with an
 "error" verdict, and exits 1 if any file errored, else 3 if any was
 refuted, else 0.  SLOPESPECTRA_EPS overrides the default float tolerance
-when --eps is not given; either must lie in (0, 1).
+when --eps is not given; either must lie in (0, 1).  The argument parser
+is built once per process; SLOPESPECTRA_EPS is read on every main call.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import math
 import os
 import sys
@@ -132,13 +134,13 @@ def _emit(report: dict, args) -> None:
     sys.stdout.write(out)
 
 
-def _add_common(sub):
+def _add_common(sub) -> argparse.ArgumentParser:
     sub.add_argument("--backend", choices=["rational", "float"],
                      help="force the scalar backend (default: infer from the file)")
-    # a string default goes through type=_eps only when --eps is absent
-    sub.add_argument("--eps", type=_eps, default=os.environ.get(ENV_EPS) or DEFAULT_EPS_REL,
-                     help="relative tolerance for the float backend")
+    # main sets the default on each call
+    sub.add_argument("--eps", type=_eps, help="relative tolerance for the float backend")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    return sub
 
 
 def cmd_analyze(args) -> int:
@@ -251,7 +253,10 @@ def cmd_case(args) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The parser, built once per process, and its subparsers that take --eps."""
+    common = []
     parser = argparse.ArgumentParser(
         prog="slopespectra",
         description="Slope spectra, conic group law, and (n+1)-slope certificates "
@@ -260,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="slope spectrum, forbidden slopes, criticality")
     p.add_argument("file")
-    _add_common(p)
+    common.append(_add_common(p))
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("verify", help="certify or refute the (n+1)-slope property")
     p.add_argument("files", nargs="+")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="verify files in parallel processes")
-    _add_common(p)
+    common.append(_add_common(p))
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("generate", help="emit a point file from a generator pipeline")
@@ -288,19 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--highlight", type=_highlight,
                    help="'conic', 'forbidden <i>', 'parallel (dx,dy)' or 'parallel all'")
-    _add_common(p)
+    common.append(_add_common(p))
     p.set_defaults(func=cmd_render)
 
     p = subs.add_parser("case", help="structural case classification")
     p.add_argument("file")
-    _add_common(p)
+    common.append(_add_common(p))
     p.set_defaults(func=cmd_case)
 
-    return parser
+    return parser, common
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, common = build_parser()
+    for sub in common:
+        # a string default goes through type=_eps only when --eps is absent
+        sub.set_defaults(eps=os.environ.get(ENV_EPS) or DEFAULT_EPS_REL)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SlopeSpectraError as exc:

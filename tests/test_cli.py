@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
+import argparse
 import codecs
 import hashlib
 import json
@@ -14,6 +15,7 @@ import slopespectra
 from slopespectra import report
 
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
+from slopespectra.scalars import DEFAULT_EPS_REL
 
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(slopespectra.__file__).parents[1])}
@@ -355,6 +357,92 @@ class TestEnvEps:
         code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == EXIT_OK
         assert json.loads(out)["eps"] == 1e-6
+
+    def test_env_read_on_every_call(self, instance_file, capsys, monkeypatch):
+        """The parser outlives a main call; the environment does not."""
+        monkeypatch.setenv("SLOPESPECTRA_EPS", "1e-6")
+        code, out, _ = run(capsys, "verify", instance_file, "--json")
+        assert code == EXIT_OK and json.loads(out)["eps"] == 1e-6
+        monkeypatch.delenv("SLOPESPECTRA_EPS")
+        code, out, _ = run(capsys, "verify", instance_file, "--json")
+        assert code == EXIT_OK and json.loads(out)["eps"] == DEFAULT_EPS_REL
+        monkeypatch.setenv("SLOPESPECTRA_EPS", "")
+        code, out, _ = run(capsys, "verify", instance_file, "--json")
+        assert code == EXIT_OK and json.loads(out)["eps"] == DEFAULT_EPS_REL
+        monkeypatch.setenv("SLOPESPECTRA_EPS", "abc")
+        code, out, err = run_to_exit(capsys, "verify", instance_file, "--json")
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and "SLOPESPECTRA_EPS" in err
+
+
+class InProcessPool:
+    """A process-pool stand-in: records each requested worker count and
+    runs the work in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def without_timing(json_out):
+    doc = json.loads(json_out)
+    del doc["timing_ms"]
+    return doc
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no parse leaves state for the next."""
+
+    def test_second_call_builds_no_parser(self, instance_file, capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        for _ in range(2):
+            added.clear()
+            code, _, _ = run(capsys, "verify", instance_file, "--json")
+            assert code == EXIT_OK
+        assert added == []
+
+    def test_delete_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "generate", "--polygon", "8", "--delete", "1,2")
+        assert code == EXIT_OK and len(out.splitlines()) == 6
+        code, out, _ = run(capsys, "generate", "--polygon", "8")
+        assert code == EXIT_OK and len(out.splitlines()) == 8
+
+    def test_jobs_does_not_carry_over(self, instance_file, capsys, monkeypatch):
+        from slopespectra import cli
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "started", [])
+        code, _, _ = run(capsys, "verify", instance_file, instance_file, "--jobs", "2")
+        assert code == EXIT_OK and InProcessPool.started == [2]
+        code, out, _ = run(capsys, "verify", instance_file, instance_file)
+        assert code == EXIT_OK and out.count("command: verify") == 2
+        assert InProcessPool.started == [2]
+
+    def test_usage_error_and_help_leave_no_state(self, instance_file, capsys):
+        code, first, _ = run(capsys, "verify", instance_file, "--json")
+        assert code == EXIT_OK
+        assert run_to_exit(capsys, "verify")[0] == 2
+        assert run_to_exit(capsys, "-h")[0] == 0
+        code, again, _ = run(capsys, "verify", instance_file, "--json")
+        assert code == EXIT_OK
+        assert without_timing(again) == without_timing(first)
 
 
 def run_to_exit(capsys, *argv):
