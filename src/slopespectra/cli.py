@@ -139,7 +139,6 @@ def _add_common(sub) -> argparse.ArgumentParser:
                      help="force the scalar backend (default: infer from the file)")
     # main sets the default on each call
     sub.add_argument("--eps", type=_eps, help="relative tolerance for the float backend")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     return sub
 
 
@@ -266,6 +265,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subs.add_parser("analyze", help="slope spectrum, forbidden slopes, criticality")
     p.add_argument("file")
     common.append(_add_common(p))
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("verify", help="certify or refute the (n+1)-slope property")
@@ -273,6 +273,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="verify files in parallel processes")
     common.append(_add_common(p))
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("generate", help="emit a point file from a generator pipeline")
@@ -299,6 +300,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subs.add_parser("case", help="structural case classification")
     p.add_argument("file")
     common.append(_add_common(p))
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=cmd_case)
 
     return parser, common

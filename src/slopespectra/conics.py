@@ -33,7 +33,6 @@ from .geometry import (
     Configuration,
     Direction,
     Point,
-    direction,
     direction_from_vector,
     integer_grid,
     is_general_position,
@@ -254,21 +253,24 @@ class ConicGroup:
             raise OperandOffConic(f"{p} is not on the conic")
 
     def add(self, p: Point, q: Point) -> Point:
+        """P + Q: the point R on the conic with chord RO parallel to PQ."""
         self._require_on_conic(p)
         self._require_on_conic(q)
         b = self.conic.backend
         if points_equal(p, q, b):
             d = tangent_direction(self.conic, p)
         else:
-            d = direction(p, q, b)
+            d = direction_from_vector(q.x - p.x, q.y - p.y, b)
         return second_intersection(self.conic, self.base, d)
 
     def neg(self, p: Point) -> Point:
+        """The inverse of P: chord through P parallel to the tangent at O."""
         self._require_on_conic(p)
         d = tangent_direction(self.conic, self.base)
         return second_intersection(self.conic, p, d)
 
     def scalar_mul(self, k: int, p: Point) -> Point:
+        """k-fold group sum of P by double-and-add; 0*P = O."""
         self._require_on_conic(p)
         if k < 0:
             return self.neg(self.scalar_mul(-k, p))
@@ -283,19 +285,10 @@ class ConicGroup:
         return result
 
 
-def group_add(group: ConicGroup, p: Point, q: Point) -> Point:
-    """P + Q: the point R on the conic with chord RO parallel to PQ."""
-    return group.add(p, q)
-
-
-def group_neg(group: ConicGroup, p: Point) -> Point:
-    """The inverse of P: chord through P parallel to the tangent at O."""
-    return group.neg(p)
-
-
-def group_scalar_mul(group: ConicGroup, k: int, p: Point) -> Point:
-    """k-fold group sum of P by double-and-add; 0*P = O."""
-    return group.scalar_mul(k, p)
+# the functional spelling of the group law: group_add(group, p, q) is group.add(p, q)
+group_add = ConicGroup.add
+group_neg = ConicGroup.neg
+group_scalar_mul = ConicGroup.scalar_mul
 
 
 @dataclass(frozen=True)

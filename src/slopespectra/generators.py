@@ -18,7 +18,6 @@ Random rational coordinates use bounded numerators and denominators
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,10 +30,13 @@ from .errors import (
     TooFewRemaining,
 )
 from .geometry import Configuration, Point, direction_key, orientation
-from .regularity import AffineMap
+from .regularity import AffineMap, regular_vertex
 from .scalars import Backend, EXACT, float_backend
 
 _MASK64 = (1 << 64) - 1
+_MAX_DRAWS = 100_000  # tries of random_general_position and random_noncollinear
+_MAX_CONVEX_ATTEMPTS = 200
+_MAX_INTERIOR_ATTEMPTS = 2000
 
 
 class SplitMix64:
@@ -76,11 +78,7 @@ def regular_polygon(m: int, backend: Optional[Backend] = None) -> Configuration:
     if m < 3:
         raise PolygonTooSmall(f"need m >= 3, got {m}")
     b = backend if backend is not None else float_backend()
-    coords = []
-    for k in range(m):
-        ang = 2.0 * math.pi * k / m
-        coords.append((math.cos(ang), math.sin(ang)))
-    return Configuration.from_coords(coords, b)
+    return Configuration.from_coords((regular_vertex(k, m) for k in range(m)), b)
 
 
 def delete_vertices(config: Configuration, indices: Sequence[int]) -> Configuration:
@@ -96,9 +94,10 @@ def delete_vertices(config: Configuration, indices: Sequence[int]) -> Configurat
 
 
 def apply_affine(config: Configuration, T: AffineMap) -> Configuration:
-    """Pointwise affine image; the backend is preserved."""
-    pts = tuple(T.apply(p, config.backend) for p in config.points)
-    return Configuration(pts, config.backend)
+    """Pointwise affine image; the backend is preserved, and a float image
+    beyond the float range is refused (BackendMismatch)."""
+    b = config.backend
+    return Configuration.from_coords((T.apply(p, b) for p in config.points), b)
 
 
 def perturb(config: Configuration, delta, seed: int) -> Configuration:
@@ -146,8 +145,7 @@ def _directions_if_free(pts, dirs, cand) -> Optional[list[tuple[int, int]]]:
     return keys
 
 
-def random_general_position(n: int, seed: int, bound: int = 1000,
-                            max_tries: int = 100_000) -> Configuration:
+def random_general_position(n: int, seed: int, bound: int = 1000) -> Configuration:
     """n random rational points with no three collinear; deterministic per seed."""
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
@@ -156,8 +154,8 @@ def random_general_position(n: int, seed: int, bound: int = 1000,
     dirs: list[set[tuple[int, int]]] = []
     tries = 0
     while len(pts) < n:
-        if tries >= max_tries:
-            raise GenerationExhausted(f"no general-position configuration after {max_tries} draws")
+        if tries >= _MAX_DRAWS:
+            raise GenerationExhausted(f"no general-position configuration after {_MAX_DRAWS} draws")
         tries += 1
         cand = Point(rng.fraction(bound), rng.fraction(bound))
         keys = _directions_if_free(pts, dirs, cand)
@@ -170,8 +168,7 @@ def random_general_position(n: int, seed: int, bound: int = 1000,
     return Configuration(tuple(pts), EXACT)
 
 
-def random_noncollinear(n: int, seed: int, bound: int = 1000,
-                        max_tries: int = 100_000) -> Configuration:
+def random_noncollinear(n: int, seed: int, bound: int = 1000) -> Configuration:
     """n distinct random rational points, not all on one line.
 
     Collinear triples are allowed (unlike random_general_position), which
@@ -182,8 +179,8 @@ def random_noncollinear(n: int, seed: int, bound: int = 1000,
     rng = SplitMix64(seed)
     tries = 0
     while True:
-        if tries >= max_tries:
-            raise GenerationExhausted(f"no non-collinear configuration after {max_tries} draws")
+        if tries >= _MAX_DRAWS:
+            raise GenerationExhausted(f"no non-collinear configuration after {_MAX_DRAWS} draws")
         tries += 1
         pts: list[Point] = []
         ok = True
@@ -208,8 +205,7 @@ def _angle_key(v: tuple[Fraction, Fraction]) -> tuple:
     return dy < 0 or (dy == 0 and dx < 0), dy != 0, -dx / dy if dy else 0
 
 
-def random_convex_position(n: int, seed: int, bound: int = 1000,
-                           max_tries: int = 200) -> Configuration:
+def random_convex_position(n: int, seed: int, bound: int = 1000) -> Configuration:
     """A random rational strictly convex polygon (general position).
 
     Uses Valtr's construction: random x- and y-increments are paired,
@@ -220,7 +216,7 @@ def random_convex_position(n: int, seed: int, bound: int = 1000,
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
     rng = SplitMix64(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_CONVEX_ATTEMPTS):
         xs = sorted(rng.fraction(bound) for _ in range(n))
         ys = sorted(rng.fraction(bound) for _ in range(n))
 
@@ -258,11 +254,10 @@ def random_convex_position(n: int, seed: int, bound: int = 1000,
             x += vx
             y += vy
         return Configuration(tuple(pts), EXACT)
-    raise GenerationExhausted(f"no convex configuration after {max_tries} attempts")
+    raise GenerationExhausted(f"no convex configuration after {_MAX_CONVEX_ATTEMPTS} attempts")
 
 
-def random_with_interior_point(n: int, seed: int, bound: int = 1000,
-                               max_tries: int = 2000) -> Configuration:
+def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configuration:
     """A general-position configuration of n points, one of which lies
     strictly inside the convex hull of the others."""
     if n < 4:
@@ -278,7 +273,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000,
     # a strict convex combination of any three non-collinear points lies
     # strictly inside the hull
     a, b, c = pts[0], pts[1], pts[2]
-    for _ in range(max_tries):
+    for _ in range(_MAX_INTERIOR_ATTEMPTS):
         w1 = Fraction(rng.randint(1, 97), 100)
         w2 = Fraction(rng.randint(1, int((1 - w1) * 100) - 1), 100)
         w3 = 1 - w1 - w2
@@ -288,7 +283,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000,
         if _directions_if_free(pts, dirs, cand) is None:
             continue
         return Configuration(tuple(pts) + (cand,), EXACT)
-    raise GenerationExhausted(f"no interior point found after {max_tries} attempts")
+    raise GenerationExhausted(f"no interior point found after {_MAX_INTERIOR_ATTEMPTS} attempts")
 
 
 def random_affine_map(seed: int, bound: int = 5) -> AffineMap:

@@ -32,7 +32,7 @@ def _parse_token(token: str, line_no: int):
         if den == 0:
             raise ParseError(line_no, f"zero denominator in {token!r}")
         return Fraction(num, den), "frac"
-    if _DEC_RE.match(token) and not _INT_RE.match(token):
+    if _DEC_RE.match(token):
         return float(token), "dec"
     raise ParseError(line_no, f"cannot parse coordinate {token!r}")
 

@@ -18,6 +18,7 @@ from .slopes import forbidden_slopes_at, slope_spectrum
 
 POINT_CAP = 1000  # documented limit for cmd_render
 _CANVAS = 600.0
+_SAMPLES = 256  # polyline samples of a parabola or hyperbola across the frame
 _DASHES = ("none", "8,4", "2,3", "10,3,2,3", "5,5", "1,4", "12,2", "6,2,2,2")
 
 
@@ -61,10 +62,13 @@ def _segment(frame: _Frame, p, q, stroke: str, dash: str, cls: str) -> str:
 
 def _conic_ellipse_params(conic: Conic):
     """Centre, semi-axes and major-axis angle of the ellipse
-    (p - centre)^T M (p - centre) = k, M = [[a, b/2], [b/2, c]]; closed form."""
+    (p - centre)^T M (p - centre) = k, M = [[a, b/2], [b/2, c]]; closed form.
+    Raises SlopeSpectraError unless the conic is a real ellipse."""
     a, b, c, d, e, f = (float(v) for v in conic.coeffs)
     h = b / 2
     det2 = a * c - h * h
+    if det2 <= 0:  # a parabola, a hyperbola or a degenerate conic
+        raise SlopeSpectraError("not an ellipse")
     cx = (e * h - c * d) / (2 * det2)
     cy = (d * h - a * e) / (2 * det2)
     k = -(f + (d * cx + e * cy) / 2)
@@ -77,54 +81,43 @@ def _conic_ellipse_params(conic: Conic):
 
 
 def _conic_svg(conic: Conic, frame: _Frame) -> str:
-    a, b, c, _, _, _ = (float(v) for v in conic.coeffs)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        try:
-            cx, cy, r1, r2, theta = _conic_ellipse_params(conic)
-        except SlopeSpectraError:
-            return _conic_path(conic, frame)
-        sx, sy = frame.to_svg(cx, cy)
-        # y flip negates the rotation angle
-        deg = -math.degrees(theta)
-        return (f'<ellipse id="conic" cx="{_fmt(sx)}" cy="{_fmt(sy)}" '
-                f'rx="{_fmt(r1 * frame.scale)}" ry="{_fmt(r2 * frame.scale)}" '
-                f'transform="rotate({_fmt(deg)} {_fmt(sx)} {_fmt(sy)})" '
-                f'fill="none" stroke="#2060c0" stroke-width="1.0"/>')
-    return _conic_path(conic, frame)
+    try:
+        cx, cy, r1, r2, theta = _conic_ellipse_params(conic)
+    except SlopeSpectraError:
+        return _conic_path(conic, frame)
+    sx, sy = frame.to_svg(cx, cy)
+    # y flip negates the rotation angle
+    deg = -math.degrees(theta)
+    return (f'<ellipse id="conic" cx="{_fmt(sx)}" cy="{_fmt(sy)}" '
+            f'rx="{_fmt(r1 * frame.scale)}" ry="{_fmt(r2 * frame.scale)}" '
+            f'transform="rotate({_fmt(deg)} {_fmt(sx)} {_fmt(sy)})" '
+            f'fill="none" stroke="#2060c0" stroke-width="1.0"/>')
 
 
-def _conic_path(conic: Conic, frame: _Frame, samples: int = 256) -> str:
-    """Sampled polyline branches for parabolas/hyperbolas inside the frame."""
+def _conic_path(conic: Conic, frame: _Frame) -> str:
+    """Sampled polyline branches for parabolas/hyperbolas inside the frame.
+    A branch breaks at every sample where it has no real point in the frame."""
     a, b, c, d, e, f = (float(v) for v in conic.coeffs)
-    branches: list[list[tuple[float, float]]] = [[], []]
+    branches: list[list[list[str]]] = [[[]], [[]]]  # each branch's runs of "x,y"
     x0 = frame.minx - frame.margin
     x1 = frame.maxx + frame.margin
-    for i in range(samples + 1):
-        x = x0 + (x1 - x0) * i / samples
+    for i in range(_SAMPLES + 1):
+        x = x0 + (x1 - x0) * i / _SAMPLES
         qa, qb, qc = c, b * x + e, a * x * x + d * x + f
         if abs(qa) > 1e-14:
             disc = qb * qb - 4 * qa * qc
             ys = [] if disc < 0 else [(-qb + s * math.sqrt(disc)) / (2 * qa) for s in (1.0, -1.0)]
         elif abs(qb) > 1e-14:
-            ys = [-qc / qb, None]
+            ys = [-qc / qb]
         else:
             ys = []
-        for bi, y in enumerate(ys):
-            if y is not None and frame.inside(x, y):
-                branches[bi].append(frame.to_svg(x, y))
-            elif bi < 2 and branches[bi] and branches[bi][-1] is not None:
-                branches[bi].append(None)  # break the polyline
-    parts = []
-    for branch in branches:
-        run: list[str] = []
-        for pt in branch + [None]:
-            if pt is None:
-                if len(run) > 1:
-                    parts.append("M" + "L".join(run))
-                run = []
-            else:
-                run.append(f"{_fmt(pt[0])},{_fmt(pt[1])}")
+        for bi, runs in enumerate(branches):
+            if bi < len(ys) and frame.inside(x, ys[bi]):
+                sx, sy = frame.to_svg(x, ys[bi])
+                runs[-1].append(f"{_fmt(sx)},{_fmt(sy)}")
+            elif runs[-1]:
+                runs.append([])  # break the polyline
+    parts = ["M" + "L".join(run) for runs in branches for run in runs if len(run) > 1]
     if not parts:
         return '<path id="conic" d="" fill="none"/>'
     return (f'<path id="conic" d="{" ".join(parts)}" fill="none" '

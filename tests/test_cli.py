@@ -146,27 +146,11 @@ class TestVerify:
     def test_jobs_capped_by_file_count(self, instance_file, capsys, monkeypatch):
         from slopespectra import cli
 
-        started = []
-
-        class InProcessPool:
-            """Records the requested worker count; runs the work here."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "started", [])
         code, out, _ = run(capsys, "verify", instance_file, instance_file, "--jobs", "64")
         assert code == EXIT_OK and out.count("command: verify") == 2
-        assert started == [2]
+        assert InProcessPool.started == [2]
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
     def test_jobs_below_one_is_usage_error(self, instance_file, capsys, jobs):
@@ -314,6 +298,12 @@ class TestRender:
         code, _, err = run(capsys, "render", str(path))
         assert code == EXIT_ERROR
         assert "ParseError" in err
+
+    def test_json_flag_refused(self, instance_file, capsys):
+        """render writes an SVG, never a report: --json is not one of its options."""
+        code, out, err = run_to_exit(capsys, "render", instance_file, "--json")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --json" in err
 
     def test_stdout_deterministic(self, instance_file, capsys):
         _, a, _ = run(capsys, "render", instance_file, "--highlight", "parallel all")
@@ -507,6 +497,14 @@ class TestBadOptionValues:
         got, out, err = run_to_exit(capsys, "generate", "--random", "8", option, value)
         assert got == 2
         assert out == "" and err.count("error:") == 1 and "usage:" in err
+
+    def test_generate_affine_beyond_float_range(self, capsys):
+        """An affine image that overflows is refused, not written as 'inf'."""
+        got, out, err = run_to_exit(capsys, "generate", "--polygon", "8",
+                                    "--affine", "1e308,0,0,1,1e308,0")
+        assert got == EXIT_ERROR
+        assert out == "" and err.count("error:") == 1
+        assert "BackendMismatch" in err and "beyond the float range" in err
 
     def test_generate_singular_affine(self, capsys):
         got, out, err = run_to_exit(capsys, "generate", "--polygon", "8",

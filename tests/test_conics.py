@@ -252,6 +252,11 @@ class TestTangentAndSecondIntersection:
 
 
 class TestGroupLaw:
+    def test_functions_are_the_methods(self):
+        assert group_add is ConicGroup.add
+        assert group_neg is ConicGroup.neg
+        assert group_scalar_mul is ConicGroup.scalar_mul
+
     def test_addition_is_parameter_addition(self):
         g = parabola_group()
         assert group_add(g, pp(1), pp(2)) == pp(3)

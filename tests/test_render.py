@@ -1,12 +1,13 @@
 """SVG output: structure and determinism."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 
 from slopespectra import Conic, Configuration, EXACT, float_backend, render_svg
 from slopespectra.errors import RenderTooLarge
-from slopespectra.render import _conic_ellipse_params
+from slopespectra.render import _SAMPLES, _conic_ellipse_params
 from slopespectra.generators import delete_vertices, regular_polygon
 
 from conftest import exact_config, parabola_config
@@ -27,6 +28,20 @@ class TestRenderStructure:
         svg = render_svg(cfg, "conic")
         assert 'id="conic"' in svg
         assert "<path" in svg or "<ellipse" in svg
+
+    def test_hyperbola_path_breaks_where_no_real_point(self):
+        # x^2 - y^2 = 1 has no point with |x| < 1: each branch is two runs,
+        # and no step of a run may span that gap
+        cfg = exact_config([(F(5, 4), F(3, 4)), (F(5, 3), F(4, 3)), (F(-5, 4), F(-3, 4)),
+                            (F(-5, 3), F(-4, 3)), (F(5, 4), F(-3, 4))])
+        svg = render_svg(cfg, "conic")
+        width = float(svg.split('width="')[1].split('"')[0])
+        d = svg.split('<path id="conic" d="')[1].split('"')[0]
+        runs = [[tuple(map(float, pt.split(","))) for pt in run[1:].split("L")]
+                for run in d.split()]
+        steps = [abs(q[0] - p[0]) for run in runs for p, q in zip(run, run[1:])]
+        assert max(steps) <= width / _SAMPLES + 1e-3
+        assert len(runs) == 4
 
     def test_circle_conic_becomes_ellipse(self):
         cfg = delete_vertices(regular_polygon(8), [0])
