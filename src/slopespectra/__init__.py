@@ -3,7 +3,8 @@ and certified detection of configurations with one more slope than points.
 
 The library works over two scalar backends: exact rationals (Fraction) and
 tolerance-governed floats.  All types are immutable and all operations are
-pure, so everything is safe for concurrent use.
+pure, so everything is safe for concurrent use.  The value types are plain
+classes, so `dataclasses.fields`, `replace` and `asdict` do not apply.
 """
 
 from .scalars import Backend, EXACT, float_backend

@@ -15,9 +15,9 @@ exact backend stays closed over the rationals: no square roots anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .errors import (
     BackendMismatch,
     CollinearTriple,
@@ -79,8 +79,7 @@ def _det3_terms(backend: Backend, a, b, c, d, e, f):
     ]
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(Frozen):
     """A normalized 6-coefficient conic with cached degeneracy status."""
 
     coeffs: tuple
@@ -235,8 +234,7 @@ def second_intersection(conic: Conic, p: Point, d: Direction) -> Point:
     return Point(x0 + t * dx, y0 + t * dy)
 
 
-@dataclass(frozen=True)
-class ConicGroup:
+class ConicGroup(Frozen):
     """The abelian group of a non-degenerate conic with identity O."""
 
     conic: Conic
@@ -291,15 +289,13 @@ group_neg = ConicGroup.neg
 group_scalar_mul = ConicGroup.scalar_mul
 
 
-@dataclass(frozen=True)
-class Applicable:
+class Applicable(Frozen):
     """All three chord parallelisms hold; coconic is the 6x6 verdict."""
 
     coconic: bool
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Frozen):
     """Some required chord parallelism fails."""
 
     failed: str

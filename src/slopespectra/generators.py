@@ -18,10 +18,10 @@ Random rational coordinates use bounded numerators and denominators
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     GenerationExhausted,
     IndexOutOfRange,
@@ -297,8 +297,7 @@ def random_affine_map(seed: int, bound: int = 5) -> AffineMap:
     return AffineMap(((a, b), (c, d)), (tx, ty))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
     """A composable generation pipeline: source, then optional transforms.
 
     Exactly one of polygon/random must be set; deletion, affine image and
@@ -308,7 +307,7 @@ class GeneratorSpec:
 
     polygon: Optional[int] = None
     random: Optional[int] = None
-    delete: tuple[int, ...] = field(default=())
+    delete: tuple[int, ...] = ()
     affine: Optional[AffineMap] = None
     perturb_delta: Optional[object] = None
     seed: int = 0

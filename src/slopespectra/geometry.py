@@ -18,11 +18,11 @@ taken modulo n wherever an operation documents it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import (
     CoincidentPoints,
     DuplicatePoints,
@@ -32,12 +32,15 @@ from .errors import (
 from .scalars import EXACT, Backend
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """A planar point; both coordinates share one backend's scalar type."""
 
     x: object
     y: object
+
+    def __init__(self, x, y):  # built per pair and per group step
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
     def __iter__(self):
         yield self.x
@@ -47,14 +50,19 @@ class Point:
         return float(self.x), float(self.y)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Frozen, uncompared=("angle",)):
     """Canonical representative of a parallelism class of segments."""
 
     dx: object
     dy: object
     exact: bool
-    angle: float = field(compare=False, default=0.0)
+    angle: float
+
+    def __init__(self, dx, dy, exact, angle=0.0):  # built per class
+        set_field(self, "dx", dx)
+        set_field(self, "dy", dy)
+        set_field(self, "exact", exact)
+        set_field(self, "angle", angle)
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.dx), float(self.dy)
@@ -164,8 +172,7 @@ def segments_parallel(p: Point, q: Point, r: Point, s: Point, backend: Backend) 
     return turn(q.x - p.x, q.y - p.y, s.x - r.x, s.y - r.y, backend) == 0
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """An immutable indexed set of pairwise-distinct planar points.
 
     `DuplicatePoints` names the lexicographically first pair (i, j), i < j,

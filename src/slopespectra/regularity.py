@@ -10,10 +10,10 @@ diagnostic on top, not the certifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .conics import Conic, conic_through_5, is_on_conic
 from .errors import (
     BackendMismatch,
@@ -34,8 +34,7 @@ from .geometry import (
 from .scalars import Backend
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Frozen):
     """An invertible affine map x -> L x + t."""
 
     linear: tuple[tuple, tuple]
@@ -55,9 +54,14 @@ class AffineMap:
         return cls(((1, 0), (0, 1)), (0, 0))
 
     def apply(self, p: Point, backend: Backend) -> Point:
+        """The image of p; BackendMismatch for a float map entry beyond the float range."""
         num = Fraction if backend.exact else float
         (a, b), (c, d) = self.linear
-        a, b, c, d, tx, ty = map(num, (a, b, c, d, *self.translation))
+        try:
+            a, b, c, d, tx, ty = map(num, (a, b, c, d, *self.translation))
+        except OverflowError:
+            raise BackendMismatch(
+                "float backend cannot take a map entry beyond the float range") from None
         return Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
 
 
@@ -87,8 +91,7 @@ def korchmaros_chain(points: Sequence[Point], backend: Backend,
     return not fails, fails[0] if fails else None
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(Frozen):
     """Outcome of the affine-regularity test.
 
     granted is True iff all points lie on a common non-degenerate conic, are

@@ -15,9 +15,9 @@ conics and reports, so every predicate states which comparison rule it uses.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .errors import BackendMismatch
 
 RATIONAL = "rational"
@@ -26,8 +26,7 @@ FLOAT = "float"
 DEFAULT_EPS_REL = 1e-9
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(Frozen):
     """Comparison rules for one scalar representation.
 
     kind    -- "rational" (exact) or "float" (tolerance-governed)

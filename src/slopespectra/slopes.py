@@ -12,23 +12,25 @@ takes time proportional to its size plus the number of pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen, set_field
 from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
 from .geometry import Configuration, Direction, is_general_position, segments_parallel
 
 
-@dataclass(frozen=True)
-class SlopeClass:
+class SlopeClass(Frozen):
     """One parallelism class: a canonical direction and its point pairs."""
 
     direction: Direction
     pairs: tuple[tuple[int, int], ...]
 
+    def __init__(self, direction, pairs):  # built per class
+        set_field(self, "direction", direction)
+        set_field(self, "pairs", pairs)
 
-@dataclass(frozen=True)
-class SlopeSpectrum:
+
+class SlopeSpectrum(Frozen):
     """All parallelism classes of a configuration, deterministically ordered."""
 
     classes: tuple[SlopeClass, ...]
@@ -38,8 +40,7 @@ class SlopeSpectrum:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class ForbiddenSlopeTable:
+class ForbiddenSlopeTable(Frozen):
     """Per point index, the spectrum directions realized by no segment there."""
 
     per_point: tuple[tuple[Direction, ...], ...]
@@ -84,13 +85,11 @@ def forbidden_slope_counts(spectrum: SlopeSpectrum, n: int) -> list[int]:
     return [spectrum.count - t for t in touched]
 
 
-@dataclass(frozen=True)
-class Forbidden:
+class Forbidden(Frozen):
     """Dichotomy verdict: the chord's slope is forbidden at the middle point."""
 
 
-@dataclass(frozen=True)
-class ParallelWitness:
+class ParallelWitness(Frozen):
     """Dichotomy verdict: A_i A_k is parallel to A_j A_p with i < p < k."""
 
     p: int
@@ -149,8 +148,7 @@ class Criticality(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(Frozen):
     verdict: Criticality
     count: int
     n: int

@@ -16,10 +16,10 @@ passes), so gap location looks for exactly that two-failure signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .conics import Conic, ConicGroup
 from .errors import (
     InconsistentGap,
@@ -50,8 +50,7 @@ class Stage(Enum):
     RECONSTRUCTION = "Reconstruction"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Positive verdict with re-checkable witnesses."""
 
     conic: Conic
@@ -64,8 +63,7 @@ class Certificate:
     full_chain_ok: bool
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Frozen):
     """Negative verdict: the first failing pipeline stage plus a witness."""
 
     stage: Stage
@@ -212,8 +210,7 @@ class CaseTag(Enum):
     CASE_2_2 = "Case2_2"
 
 
-@dataclass(frozen=True)
-class ProofCase:
+class ProofCase(Frozen):
     """Structural case tag plus the deterministic reindexing that exhibits it.
 
     rotation/reflected describe the relabeling of the canonical hull order:

@@ -321,12 +321,14 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_no_process_pool_at_start(self, instance_file, tmp_path, capsys):
-        """Only verify --jobs with two or more files imports the process pool."""
+        """Only verify --jobs with two or more files imports the process pool,
+        and no command imports dataclasses or inspect."""
         octagon = tmp_path / "octagon.txt"
         main(["generate", "--polygon", "8"])
         octagon.write_text(capsys.readouterr().out)
         code = ("import sys; sys.modules['multiprocessing'] = None; "
                 "sys.modules['concurrent.futures'] = None; "
+                "sys.modules['dataclasses'] = None; sys.modules['inspect'] = None; "
                 "from slopespectra.cli import main; good, other = sys.argv[1:]; "
                 "codes = [main(['verify', good, '--json']), main(['verify', good, other]), "
                 "main(['analyze', good]), main(['case', good]), "
@@ -502,6 +504,14 @@ class TestBadOptionValues:
         """An affine image that overflows is refused, not written as 'inf'."""
         got, out, err = run_to_exit(capsys, "generate", "--polygon", "8",
                                     "--affine", "1e308,0,0,1,1e308,0")
+        assert got == EXIT_ERROR
+        assert out == "" and err.count("error:") == 1
+        assert "BackendMismatch" in err and "beyond the float range" in err
+
+    def test_generate_affine_entry_beyond_float_range(self, capsys):
+        """An integer map entry too large for a float is refused, not a traceback."""
+        got, out, err = run_to_exit(capsys, "generate", "--polygon", "8",
+                                    "--affine", f"{10 ** 400},0,0,1,0,0")
         assert got == EXIT_ERROR
         assert out == "" and err.count("error:") == 1
         assert "BackendMismatch" in err and "beyond the float range" in err

@@ -1,0 +1,167 @@
+"""The immutable value types keep the contract of the frozen dataclasses they
+replaced: repr, equality and hash over the compared fields, construction,
+immutability, pickle and copy, and the checks in `__post_init__`."""
+
+import copy
+import dataclasses
+import functools
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from slopespectra import (
+    AffineMap,
+    Applicable,
+    Backend,
+    Conic,
+    ConicGroup,
+    Configuration,
+    Direction,
+    EXACT,
+    Forbidden,
+    GeneratorSpec,
+    NotApplicable,
+    ParallelWitness,
+    Point,
+    Refutation,
+    Stage,
+    classify_criticality,
+    classify_proof_case,
+    delete_vertices,
+    float_backend,
+    forbidden_slope_table,
+    is_affinely_regular,
+    random_affine_map,
+    regular_polygon,
+    slope_spectrum,
+    verify_theorem,
+)
+from slopespectra._frozen import Frozen
+from slopespectra.errors import DegenerateConic, DuplicatePoints, NonInvertible
+
+
+def samples() -> list:
+    """At least one instance of every value type, most from real computations."""
+    polygon = regular_polygon(8)
+    instance = delete_vertices(regular_polygon(12), [1])
+    cert = verify_theorem(instance)
+    spectrum = slope_spectrum(polygon)
+    cls = spectrum.classes[0]
+    return [
+        EXACT, float_backend(), polygon, cls.direction,
+        Point(Fraction(1, 2), Fraction(3)), cls, spectrum,
+        forbidden_slope_table(polygon, spectrum), Forbidden(), ParallelWitness(3),
+        classify_criticality(polygon), cert, cert.conic, cert.base_point,
+        ConicGroup(cert.conic, cert.base_point), Applicable(True), NotApplicable("P1P6 || P2P5"),
+        random_affine_map(7), is_affinely_regular(polygon), GeneratorSpec(polygon=8, delete=(0,)),
+        verify_theorem(polygon), classify_proof_case(instance),
+    ]
+
+
+@functools.cache
+def twin_class(cls):
+    """A frozen dataclass with the fields of a value type."""
+    fields = [(f, object, dataclasses.field(compare=f in cls._compared)) for f in cls._fields]
+    return dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+
+
+def twin(value):
+    """The value as an instance of its dataclass twin."""
+    return twin_class(type(value))(**{f: getattr(value, f) for f in type(value)._fields})
+
+
+def test_samples_cover_every_value_type():
+    assert {type(v) for v in samples()} == set(Frozen.__subclasses__())
+
+
+class TestRepr:
+    @pytest.mark.parametrize("value, text", [
+        (Point(Fraction(1, 2), 0.5), "Point(x=Fraction(1, 2), y=0.5)"),
+        (Direction(1, 2, True, 0.25), "Direction(dx=1, dy=2, exact=True, angle=0.25)"),
+        (Backend("float", 1e-9), "Backend(kind='float', eps_rel=1e-09)"),
+        (Refutation(Stage.SIZE, "need at least 7 points", (0, 1)),
+         "Refutation(stage=<Stage.SIZE: 'Size'>, reason='need at least 7 points', witness=(0, 1))"),
+    ])
+    def test_pinned(self, value, text):
+        assert repr(value) == text
+
+    def test_same_as_dataclass(self):
+        for value in samples():
+            assert repr(value) == repr(twin(value))
+
+
+class TestEquality:
+    def test_same_as_dataclass(self):
+        values = samples()
+        for v in values:
+            assert v == copy.copy(v) and hash(v) == hash(twin(v))
+            for w in values:
+                if type(w) is type(v):
+                    assert (v == w) == (twin(v) == twin(w))
+
+    def test_angle_not_compared(self):
+        d, e = Direction(1.0, 0.0, False, 0.0), Direction(1.0, 0.0, False, 0.5)
+        assert d == e and hash(d) == hash(e)
+        assert d != Direction(1.0, 1e-3, False, 0.0)
+
+    def test_other_class_not_equal(self):
+        p = Point(1, 2)
+        assert p.__eq__(ParallelWitness(1)) is NotImplemented
+        assert p != (1, 2) and Forbidden() != Applicable(True)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("make", [
+        lambda: Point(1), lambda: Point(1, 2, 3), lambda: Point(1, z=2),
+        lambda: Direction(1, 2), lambda: ParallelWitness(1, p=1),
+        lambda: Refutation(Stage.SIZE), lambda: Refutation(Stage.SIZE, "r", None, None),
+        lambda: GeneratorSpec(sides=8), lambda: Forbidden(1),
+    ])
+    def test_missing_or_extra_argument(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_keywords_and_defaults(self):
+        assert Point(y=2, x=1) == Point(1, 2)
+        assert Refutation(reason="r", stage=Stage.SIZE) == Refutation(Stage.SIZE, "r", None)
+        spec = GeneratorSpec(polygon=8)
+        assert (spec.random, spec.delete, spec.affine, spec.perturb_delta, spec.seed,
+                spec.bound) == (None, (), None, None, 0, 1000)
+        assert Direction(1, 2, True).angle == 0.0
+
+    def test_immutable(self):
+        for value in samples():
+            name = (type(value)._fields or ("anything",))[0]
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_post_init_checks(self):
+        with pytest.raises(ValueError):
+            Backend("float", 2.0)
+        with pytest.raises(ValueError):
+            Backend(kind="float", eps_rel=0.0)
+        with pytest.raises(DuplicatePoints):
+            Configuration((Point(0, 0), Point(1, 0), Point(0, 0)), EXACT)
+        with pytest.raises(NonInvertible):
+            AffineMap(((1, 2), (2, 4)), (0, 0))
+        pair_of_lines = Conic.from_coeffs((1, 0, -1, 0, 0, 0), EXACT)  # x^2 - y^2
+        with pytest.raises(DegenerateConic):
+            ConicGroup(pair_of_lines, Point(Fraction(0), Fraction(0)))
+
+
+class TestState:
+    def test_pickle_and_deepcopy_round_trip(self):
+        for value in samples():
+            for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(other) is type(value) and other == value
+                assert repr(other) == repr(value)
+
+    def test_direction_classes_computed_once(self):
+        config = regular_polygon(8)
+        assert "direction_classes" not in vars(config)
+        classes = config.direction_classes
+        assert vars(config)["direction_classes"] is classes
+        assert config.direction_classes is classes
