@@ -38,6 +38,7 @@ for seed in range(3):
     cfg = random_convex_position(8, seed)
     show(f"random convex octagon (seed {seed})", cfg)
 
-print("\nEvery deleted-vertex instance lands in Case2_2, matching the fact")
+print("\nEvery single-deletion instance lands in Case2_2, matching the fact")
 print("that it is the only case producing valid configurations; generic")
 print("convex sets land there too, but fail the slope-count hypothesis.")
+print("Two deletions need not: the 9-gon minus vertices 0 and 3 is Case2_1.")

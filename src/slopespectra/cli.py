@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -84,15 +85,18 @@ def _positive_int(text: str) -> int:
 
 
 def _affine(text: str) -> tuple:
-    """An --affine value: six comma-separated point-file numbers a,b,c,d,e,f."""
+    """An --affine value: six comma-separated point-file numbers a,b,c,d,e,f.
+    A decimal is its decimal value (0.1 is 1/10), or 0 when its float is 0.0,
+    so no exponent is expanded into a power of ten beyond the float range."""
+    tokens = [t.strip() for t in text.split(",")]
     try:
-        values = [_parse_token(t.strip(), 0) for t in text.split(",")]
+        values = [_parse_token(t, 0) for t in tokens]
     except ParseError:
         values = []
     if len(values) != 6 or any(k == "dec" and not math.isfinite(v) for v, k in values):
         raise argparse.ArgumentTypeError(
             f"expected six comma-separated finite numbers a,b,c,d,e,f, got {text!r}")
-    return tuple(v for v, _ in values)
+    return tuple(Fraction(t if v else 0) if k == "dec" else v for t, (v, k) in zip(tokens, values))
 
 
 def _highlight(text: str) -> str:

@@ -39,7 +39,7 @@ from .geometry import (
     points_equal,
     segments_parallel,
 )
-from .scalars import Backend
+from .scalars import Backend, ordered_sum
 
 
 def _normalize_coeffs(raw, backend: Backend):
@@ -55,7 +55,7 @@ def _normalize_coeffs(raw, backend: Backend):
             g = -g
         return tuple(v // g for v in ints)
     vals = [float(v) for v in vals]
-    norm = math.sqrt(sum(v * v for v in vals))
+    norm = math.sqrt(ordered_sum(v * v for v in vals))
     if norm == 0.0:
         raise DegenerateConic("all six coefficients are zero")
     vals = [v / norm for v in vals]
@@ -222,8 +222,8 @@ def second_intersection(conic: Conic, p: Point, d: Direction) -> Point:
     x0, y0 = p.x, p.y
     alpha_terms = [a * dx * dx, b * dx * dy, c * dy * dy]
     beta_terms = [2 * a * x0 * dx, b * (x0 * dy + y0 * dx), 2 * c * y0 * dy, dd * dx, e * dy]
-    alpha = sum(alpha_terms)
-    beta = sum(beta_terms)
+    alpha = ordered_sum(alpha_terms)
+    beta = ordered_sum(beta_terms)
     if backend.sum_is_zero(alpha_terms):
         if backend.sum_is_zero(beta_terms):
             raise NoSecondIntersection("line is contained in the conic")

@@ -2,7 +2,8 @@
 
 Directions are canonical representatives of parallelism classes: on the
 exact backend an integer-primitive pair (dx, dy) with dx > 0 (or dx = 0,
-dy > 0); on the float backend a unit vector whose angle lies in [0, pi).
+dy > 0) and no angle; on the float backend a unit vector whose angle lies
+in [0, pi).
 Every parallel, collinear and which-side decision is the sign of one cross
 product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 
@@ -51,7 +52,8 @@ class Point(Frozen):
 
 
 class Direction(Frozen, uncompared=("angle",)):
-    """Canonical representative of a parallelism class of segments."""
+    """Canonical representative of a parallelism class of segments; only a
+    float direction has an angle (an exact one keeps the default 0.0)."""
 
     dx: object
     dy: object
@@ -63,9 +65,6 @@ class Direction(Frozen, uncompared=("angle",)):
         set_field(self, "dy", dy)
         set_field(self, "exact", exact)
         set_field(self, "angle", angle)
-
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.dx), float(self.dy)
 
     def __str__(self):
         if self.exact:
@@ -91,12 +90,6 @@ def direction_key(dx: Fraction, dy: Fraction) -> tuple[int, int]:
                       dy.numerator * (den // dy.denominator))
 
 
-def integer_direction(key: tuple[int, int]) -> Direction:
-    """The exact Direction of a canonical integer pair."""
-    ix, iy = key
-    return Direction(ix, iy, True, math.atan2(iy, ix) % math.pi)
-
-
 def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
     """The points on one integer grid: (Z, [(x Z, y Z), ...]), Z the lcm of
     all coordinate denominators.  Takes Fractions and floats alike (a float
@@ -113,7 +106,7 @@ def direction_from_vector(dx, dy, backend: Backend) -> Direction:
         fx, fy = Fraction(dx), Fraction(dy)
         if fx == 0 and fy == 0:
             raise CoincidentPoints("zero vector has no direction")
-        return integer_direction(direction_key(fx, fy))
+        return Direction(*direction_key(fx, fy), True)
     fx, fy = float(dx), float(dy)
     if fx == 0.0 and fy == 0.0:
         raise CoincidentPoints("zero vector has no direction")
@@ -240,7 +233,7 @@ class Configuration(Frozen):
                 for j in range(i + 1, len(grid)):
                     xj, yj = grid[j]
                     classes.setdefault(_primitive(xj - xi, yj - yi), []).append((i, j))
-            return tuple((integer_direction(key), tuple(classes[key]))
+            return tuple((Direction(*key, True), tuple(classes[key]))
                          for key in sorted(classes))
 
         n, eps = len(pts), b.eps_rel

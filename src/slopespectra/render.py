@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 
 from .conics import Conic, conic_through_5
-from .errors import ParseError, RenderTooLarge, SlopeSpectraError
+from .errors import BackendMismatch, ParseError, RenderTooLarge, SlopeSpectraError
 from .geometry import Configuration, direction_from_vector, directions_parallel
 from .pointfile import _parse_token
+from .scalars import ordered_sum
 from .slopes import forbidden_slopes_at, slope_spectrum
 
 POINT_CAP = 1000  # documented limit for cmd_render
@@ -30,9 +31,8 @@ def _fmt(v: float) -> str:
 class _Frame:
     """World-to-SVG transform with a 10% margin and flipped y axis."""
 
-    def __init__(self, config: Configuration):
-        xs = [float(p.x) for p in config.points]
-        ys = [float(p.y) for p in config.points]
+    def __init__(self, pts: list[tuple[float, float]]):
+        xs, ys = zip(*pts)
         self.minx, self.maxx = min(xs), max(xs)
         self.miny, self.maxy = min(ys), max(ys)
         span = max(self.maxx - self.minx, self.maxy - self.miny, 1e-9)
@@ -151,55 +151,58 @@ def render_svg(config: Configuration, highlight: str | None = None) -> str:
     """An SVG document for the configuration.
 
     highlight: None, "conic", "forbidden <i>", "parallel (dx,dy)", or
-    "parallel all" (one dash pattern per class, cycled).
+    "parallel all" (one dash pattern per class, cycled).  Every exact value
+    becomes a float here, the points once up front; one beyond the float
+    range raises BackendMismatch.
     """
     if len(config) > POINT_CAP:
         raise RenderTooLarge(f"{len(config)} points exceed the cap of {POINT_CAP}")
-    frame = _Frame(config)
-    body: list[str] = []
+    try:
+        pts = [(float(p.x), float(p.y)) for p in config.points]
+        frame = _Frame(pts)
+        body: list[str] = []
 
-    if highlight:
-        kind, arg = parse_highlight(highlight)
-        if kind == "conic":
-            conic = conic_through_5(config.points[:5], config.backend)
-            body.append(_conic_svg(conic, frame))
-        elif kind == "parallel":
-            spectrum = slope_spectrum(config)
-            if arg == "all":
-                selected = list(enumerate(spectrum.classes))
-            else:
-                b = config.backend
-                want = direction_from_vector(b.coerce(arg[0]), b.coerce(arg[1]), b)
-                selected = [
-                    (ci, cls) for ci, cls in enumerate(spectrum.classes)
-                    if directions_parallel(cls.direction, want, b)
-                ]
-            for ci, cls in selected:
-                dash = _DASHES[ci % len(_DASHES)]
-                for (i, j) in cls.pairs:
-                    body.append(_segment(frame, config.points[i].as_floats(),
-                                         config.points[j].as_floats(),
-                                         "#303030", dash, f"parallel-{ci}"))
-        else:  # forbidden
-            idx = arg
-            missing = forbidden_slopes_at(config, slope_spectrum(config), idx)
-            px, py = config.points[idx].as_floats()
-            half = 0.15 * max(frame.maxx - frame.minx, frame.maxy - frame.miny)
-            for di, d in enumerate(missing):
-                dx, dy = d.as_floats()
-                h = math.hypot(dx, dy)
-                dx, dy = dx / h * half, dy / h * half
-                body.append(_segment(frame, (px - dx, py - dy), (px + dx, py + dy),
-                                     "#c03030", _DASHES[(di + 1) % len(_DASHES)],
-                                     f"forbidden-{idx}"))
+        if highlight:
+            kind, arg = parse_highlight(highlight)
+            if kind == "conic":
+                conic = conic_through_5(config.points[:5], config.backend)
+                body.append(_conic_svg(conic, frame))
+            elif kind == "parallel":
+                spectrum = slope_spectrum(config)
+                if arg == "all":
+                    selected = list(enumerate(spectrum.classes))
+                else:
+                    b = config.backend
+                    want = direction_from_vector(b.coerce(arg[0]), b.coerce(arg[1]), b)
+                    selected = [
+                        (ci, cls) for ci, cls in enumerate(spectrum.classes)
+                        if directions_parallel(cls.direction, want, b)
+                    ]
+                for ci, cls in selected:
+                    dash = _DASHES[ci % len(_DASHES)]
+                    for (i, j) in cls.pairs:
+                        body.append(_segment(frame, pts[i], pts[j], "#303030", dash,
+                                             f"parallel-{ci}"))
+            else:  # forbidden at point arg
+                missing = forbidden_slopes_at(config, slope_spectrum(config), arg)
+                px, py = pts[arg]
+                half = 0.15 * max(frame.maxx - frame.minx, frame.maxy - frame.miny)
+                for di, d in enumerate(missing):
+                    dx, dy = float(d.dx), float(d.dy)
+                    h = math.hypot(dx, dy)
+                    dx, dy = dx / h * half, dy / h * half
+                    body.append(_segment(frame, (px - dx, py - dy), (px + dx, py + dy),
+                                         "#c03030", _DASHES[(di + 1) % len(_DASHES)],
+                                         f"forbidden-{arg}"))
+    except OverflowError:
+        raise BackendMismatch("render cannot draw a value beyond the float range") from None
 
-    for i, p in enumerate(config.points):
-        x, y = frame.to_svg(*p.as_floats())
+    for x, y in pts:
+        x, y = frame.to_svg(x, y)
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0" fill="#000000"/>')
-    cx = sum(float(p.x) for p in config.points) / len(config)
-    cy = sum(float(p.y) for p in config.points) / len(config)
-    for i, p in enumerate(config.points):
-        px, py = p.as_floats()
+    cx = ordered_sum(x for x, _ in pts) / len(pts)
+    cy = ordered_sum(y for _, y in pts) / len(pts)
+    for i, (px, py) in enumerate(pts):
         vx, vy = px - cx, py - cy
         h = math.hypot(vx, vy) or 1.0
         off = 0.05 * max(frame.maxx - frame.minx, frame.maxy - frame.miny, 1e-9)

@@ -83,11 +83,20 @@ class Backend(Frozen):
         so cancellation of large terms is judged relative to their size.
         """
         terms = list(terms)
-        total = sum(terms)
+        total = ordered_sum(terms)
         if self.exact:
             return total == 0
         scale = max([1.0] + [abs(t) for t in terms])
         return abs(total) <= self.eps_rel * scale
+
+
+def ordered_sum(terms):
+    """The terms added left to right from 0, as `sum` adds floats before
+    Python 3.12 compensates them: report bytes do not depend on the version."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
 
 
 EXACT = Backend(RATIONAL)

@@ -335,3 +335,47 @@ class TestCase22Claim:
                 expect = [direction(L[i - 3], L[i - 1], b), direction(L[1], L[i - 3], b)]
                 for want in expect:
                     assert any(directions_parallel(want, got, b) for got in forbidden)
+
+
+class TestCase21:
+    """The 9-gon minus {0, 3} is Case 2.1, checked against the case
+    conditions restated here in plain float arithmetic."""
+
+    @staticmethod
+    def cross(p, q, r, s):
+        """(q - p) x (s - r) and the product of the two lengths."""
+        ux, uy, vx, vy = q.x - p.x, q.y - p.y, s.x - r.x, s.y - r.y
+        return ux * vy - uy * vx, math.hypot(ux, uy) * math.hypot(vx, vy)
+
+    def parallel(self, p, q, r, s):
+        c, scale = self.cross(p, q, r, s)
+        return abs(c) <= 1e-9 * scale
+
+    def admissible(self, L):
+        """A_1 A_2 is not parallel to A_0 A_3, and A_3 is strictly closer
+        than A_0 to the line A_1 A_2 (both on one side of it)."""
+        a0, a1, a2, a3 = L[:4]
+        d0, _ = self.cross(a1, a2, a1, a0)
+        d3, _ = self.cross(a1, a2, a1, a3)
+        return not self.parallel(a1, a2, a0, a3) and d0 * d3 > 0 and abs(d3) < abs(d0)
+
+    def test_nine_gon_minus_two_vertices(self):
+        cfg = delete_vertices(regular_polygon(9), [0, 3])
+        case = classify_proof_case(cfg)
+        assert (case.tag, case.rotation, case.reflected) == (CaseTag.CASE_2_1, 4, True)
+        L = _case2_labels(cfg, case)
+        n = len(L)
+        # Case 2: some window breaks the chain A_{j+1} A_{j+2} || A_j A_{j+3}
+        assert any(not self.parallel(L[(j + 1) % n], L[(j + 2) % n], L[j], L[(j + 3) % n])
+                   for j in range(n))
+        assert self.admissible(L)
+        # Case 2.1: A_{n-2} A_1 || A_{n-1} A_0
+        assert self.parallel(L[n - 2], L[1], L[n - 1], L[0])
+        # (4, reflected) is the first admissible labelling in search order
+        hull = [cfg.points[i] for i in case.hull_order]
+        for rotation in range(case.rotation + 1):
+            for reflected in (False, True):
+                if (rotation, reflected) == (case.rotation, case.reflected):
+                    break
+                step = -1 if reflected else 1
+                assert not self.admissible([hull[(rotation + step * t) % n] for t in range(n)])
