@@ -21,12 +21,12 @@ spec = slope_spectrum(square)
 print("unit square")
 print(f"  slope classes: {spec.count}")
 for cls in spec.classes:
-    print(f"    direction {cls.direction}: pairs {list(cls.pairs)}")
+    print(f"    direction {(cls.direction.dx, cls.direction.dy)}: pairs {list(cls.pairs)}")
 
 # At each vertex only one class is missing: the far diagonal.
 for i in range(4):
     missing = forbidden_slopes_at(square, spec, i)
-    print(f"  forbidden at vertex {i}: {[str(d) for d in missing]}")
+    print(f"  forbidden at vertex {i}: {[(d.dx, d.dy) for d in missing]}")
 
 # Points on the parabola y = x^2: the chord through parameters s and t has
 # slope s + t, so parameters 0..3 realize slopes 1..5.
@@ -35,7 +35,7 @@ parabola = Configuration.from_coords(
 pspec = slope_spectrum(parabola)
 print("\nparabola t in {0,1,2,3}")
 print(f"  slope classes: {pspec.count} ->",
-      [f"{c.direction}" for c in pspec.classes])
+      [(c.direction.dx, c.direction.dy) for c in pspec.classes])
 
 # A regular m-gon is the minimal general-position configuration: m points,
 # m slopes.  Deleting one vertex keeps all m classes alive, so the count

@@ -41,6 +41,12 @@ EXIT_REFUTED = 3
 
 ENV_EPS = "SLOPESPECTRA_EPS"
 
+# Exact input may hold integers of any length.  Lift Python's limit on
+# int/str conversion (4300 digits) for the CLI process; a --jobs worker
+# imports this module to run `_verify_one`, whatever the start method.
+if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+    sys.set_int_max_str_digits(0)
+
 
 def _eps(text: str) -> float:
     """An --eps or SLOPESPECTRA_EPS value: one a float backend accepts."""
@@ -52,36 +58,26 @@ def _eps(text: str) -> float:
             f"got {text!r}") from None
 
 
-def _indices(text: str) -> tuple[int, ...]:
-    """A --delete value: comma-separated vertex indices."""
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated vertex indices, got {text!r}") from None
+def _expected(what: str, convert, valid=lambda value: True):
+    """An option type: `convert` of the text, refused with "expected <what>,
+    got <text>" when it raises ValueError or gives a value not `valid`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if valid(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
 
 
-def _perturb(text: str) -> float:
-    """A --perturb value: a finite radius >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite perturbation radius >= 0, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """A --bound or --jobs value: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+_indices = _expected("comma-separated vertex indices",  # --delete
+                     lambda text: tuple(int(t) for t in text.split(",")))
+_perturb = _expected("a finite perturbation radius >= 0", float,  # --perturb
+                     lambda v: 0 <= v < math.inf)
+_positive_int = _expected("an integer >= 1", int, lambda v: v >= 1)  # --bound, --jobs
 
 
 def _affine(text: str) -> tuple:

@@ -10,7 +10,7 @@ product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 A configuration partitions its pairs into parallelism classes once
 (`Configuration.direction_classes`): the exact backend hashes every pair by
 its canonical integer direction, the float backend merges sorted pair
-angles.  The collinearity test and the slope spectrum read that one table.
+angles.  The general-position test and the slope spectrum read that one table.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from ._frozen import Frozen, set_field
@@ -65,11 +66,6 @@ class Direction(Frozen, uncompared=("angle",)):
         set_field(self, "dy", dy)
         set_field(self, "exact", exact)
         set_field(self, "angle", angle)
-
-    def __str__(self):
-        if self.exact:
-            return f"({self.dx},{self.dy})"
-        return f"angle={self.angle:.12g}"
 
 
 def _primitive(ix: int, iy: int) -> tuple[int, int]:
@@ -258,19 +254,32 @@ class Configuration(Frozen):
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Whether no three points are collinear.
+    """Whether no class of `direction_classes` holds two segments at one
+    point: on exact input, whether no three points are collinear.
 
-    On failure, also returns the lexicographically first collinear triple.
-    Reads `direction_classes`, one O(n^2) pass: (i, j, k) is collinear iff
-    the pairs (i, j) and (i, k) share a class, and for the first triple they
-    are adjacent in it.
+    Then each point meets n - 1 distinct classes, on either backend.  The
+    rule reads only the class partition, which does not depend on how the
+    points are numbered, so neither does the verdict.  One pass over the
+    pairs, O(n^2).  On failure, also returns the lexicographically first
+    triple i < j < k two of whose segments share a class (on exact input,
+    the first collinear triple): the least, over such classes and their
+    points v, of v with its first two partners in the class.
     """
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    first = min(((i, j, k) for _, pairs in config.direction_classes
-                 for (i, j), (i2, k) in zip(pairs, pairs[1:]) if i == i2),
-                default=None)
+    triples = []
+    for _, pairs in config.direction_classes:
+        # k pairs of which no two share a point touch 2k points
+        if len(pairs) > 1 and len(set(chain.from_iterable(pairs))) < 2 * len(pairs):
+            partners: dict[int, list[int]] = {}
+            for i, j in pairs:
+                partners.setdefault(i, []).append(j)
+                partners.setdefault(j, []).append(i)
+            # the pairs are in lexicographic order, so each partner list is sorted
+            triples += (tuple(sorted((v, ps[0], ps[1])))
+                        for v, ps in partners.items() if len(ps) > 1)
+    first = min(triples, default=None)
     return first is None, first
 
 

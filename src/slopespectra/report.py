@@ -32,13 +32,8 @@ DIGEST_KEY = "report_digest"
 
 
 def scalar_json(v):
-    if isinstance(v, Fraction):
-        return format_scalar(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, int):
-        return v
-    return str(v)
+    """An int or float as itself, a Fraction as its point-file text."""
+    return format_scalar(v) if isinstance(v, Fraction) else v
 
 
 def point_json(p: Point):

@@ -74,17 +74,6 @@ def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> For
     ))
 
 
-def forbidden_slope_counts(spectrum: SlopeSpectrum, n: int) -> list[int]:
-    """Per point index, how many spectrum directions are forbidden there:
-    the class count less the classes whose vertex set holds the point.
-    One class's vertex set is alive at a time."""
-    touched = [0] * n
-    for cls in spectrum.classes:
-        for v in _vertices(cls):
-            touched[v] += 1
-    return [spectrum.count - t for t in touched]
-
-
 class Forbidden(Frozen):
     """Dichotomy verdict: the chord's slope is forbidden at the middle point."""
 

@@ -37,7 +37,7 @@ from .geometry import (
     turn,
 )
 from .regularity import _cyclic_chain_failures, common_conic, convex_polygon, korchmaros_chain
-from .slopes import forbidden_slope_counts, slope_spectrum
+from .slopes import slope_spectrum
 
 
 class Stage(Enum):
@@ -110,11 +110,12 @@ def reconstruct_missing_vertex(pts: Sequence[Point], conic: Conic, gap: int) -> 
 def verify_theorem(config: Configuration) -> TheoremVerdict:
     """Certify or refute that the configuration is an (n+1)-slope instance.
 
-    Pipeline: size, general position, convex position, slope count n+1 with
-    two forbidden slopes per point, one conic through everything, a unique
-    chain gap, then reconstruction of the missing vertex, a full cyclic
-    chain check, and one group step per hull point.  Total: every failure
-    mode is a Refutation, never a raise.
+    Pipeline: size, general position, convex position, slope count n+1, one
+    conic through everything, a unique chain gap, then reconstruction of the
+    missing vertex, a full cyclic chain check, and one group step per hull
+    point.  General position gives each point n - 1 distinct slope classes,
+    so n+1 classes leave exactly two forbidden slopes at every point.
+    Total: every failure mode is a Refutation, never a raise.
     """
     n = len(config)
     if n < 7:
@@ -136,10 +137,6 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
         return Refutation(Stage.SLOPE_COUNT,
                           f"{spectrum.count} slopes, expected n+1 = {n + 1}",
                           spectrum.count)
-    for i, bad in enumerate(forbidden_slope_counts(spectrum, n)):
-        if bad != 2:
-            return Refutation(Stage.SLOPE_COUNT,
-                              f"point {i} has {bad} forbidden slopes, expected 2", i)
 
     pts = [config.points[i] for i in order]
     b = config.backend

@@ -4,6 +4,7 @@ import argparse
 import codecs
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,6 +131,19 @@ class TestVerify:
         assert verdicts[instance_file]["kind"] == "certificate"
         assert verdicts[str(bad)]["kind"] == "error"
 
+    def test_jobs_with_integers_of_any_length(self, instance_file, tmp_path):
+        """A worker reads a 5000-digit integer, past Python's default limit."""
+        big = tmp_path / "big.txt"
+        big.write_text("0 0\n1 0\n2 1\n3 3\n1 5\n-2 4\n" + "9" * 5000 + " 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "slopespectra.cli", "verify", str(big), instance_file,
+             "--json", "--jobs", "2"],
+            env=CHILD_ENV, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_REFUTED, "")
+        docs = [json.loads(doc + "}") for doc in proc.stdout.split("\n}\n") if doc.strip()]
+        assert [(d["payload"]["file"], d["payload"]["verdict"]["kind"]) for d in docs] == \
+            [(str(big), "refutation"), (instance_file, "certificate")]
+
     @pytest.mark.parametrize("bad_text", ["1e999 9\n", f"{10 ** 400} 9\n0.5 1\n"],
                              ids=["inf", "int"])
     def test_coordinate_beyond_float_range(self, instance_file, tmp_path, capsys, bad_text):
@@ -179,6 +193,36 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(octagon), str(tmp_path / "missing.txt"))
         assert code == EXIT_ERROR
         assert "payload.verdict.error: FileNotFoundError" in out
+
+
+class TestFloatNumbering:
+    """Float verdicts do not depend on the order of the file's lines: a point
+    near the origin sees the first two points 1e-10 rad apart, within eps."""
+
+    THIN = ["1000000.0 0.0", "1000000.0 0.0001", "0.0 0.0"]
+
+    def orders(self, tmp_path, rest):
+        """The file with the thin triangle's lines as given, and origin first."""
+        for name, thin in (("given", self.THIN), ("origin_first", self.THIN[2:] + self.THIN[:2])):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(thin + rest) + "\n")
+            yield str(path)
+
+    def test_analyze(self, tmp_path, capsys):
+        got = []
+        for path in self.orders(tmp_path, ["3.0 7.0", "-5.0 2.0"]):
+            code, out, _ = run(capsys, "analyze", path, "--json")
+            payload = json.loads(out)["payload"]
+            got.append((code, payload["general_position"], payload["criticality"]))
+        assert got[0] == got[1] and got[0][:2] == (EXIT_OK, False)
+
+    def test_verify(self, tmp_path, capsys):
+        circle = [f"{1e6 * math.cos(t)!r} {1e6 * math.sin(t)!r}" for t in (1.5, 2.5, 3.5, 4.5, 5.5)]
+        stages = []
+        for path in self.orders(tmp_path, circle):
+            code, out, _ = run(capsys, "verify", path, "--json")
+            stages.append((code, json.loads(out)["payload"]["verdict"]["stage"]))
+        assert stages == [(EXIT_REFUTED, "GeneralPosition")] * 2
 
 
 class TestAnalyze:

@@ -13,10 +13,12 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
+from slopespectra.geometry import direction_key
 
 BIG = 10 ** 400
 SIGN = st.sampled_from(["", "-", "+"])
@@ -140,6 +142,37 @@ class TestExactBeyondFloatRange:
         code, out, err = call(["case", write(tmp_path, EIGHT), "--json"])
         assert (code, err) == (EXIT_REFUTED, "")
         assert "refusal" in json.loads(out)["payload"]
+
+
+class TestIntegersOfAnyLength:
+    """Exact input and reports hold integers past Python's default limit on
+    int/str conversion, 4300 digits."""
+
+    SEVEN = ["0 0", "1 0", "2 1", "3 3", "1 5", "-2 4", "9" * 5000 + " 1"]
+
+    @pytest.mark.parametrize("command, options, expected", [
+        ("analyze", [], EXIT_OK), ("analyze", ["--json"], EXIT_OK),
+        ("verify", [], EXIT_REFUTED), ("case", [], EXIT_REFUTED),
+    ])
+    def test_read(self, tmp_path, command, options, expected):
+        code, out, err = call([command, write(tmp_path, self.SEVEN), *options])
+        assert (code, err) == (expected, "") and out
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    def test_written(self, tmp_path, json_flag):
+        p, q = 10 ** 2700 + 7, 10 ** 2700 + 3
+        points = [(0, 0), (Fraction(p, q), 1), (1, Fraction(q, p)), (Fraction(2, q), 5)]
+        lines = [f"{x} {y}" for x, y in points]
+        code, out, err = call(["analyze", write(tmp_path, lines)] + ["--json"] * json_flag)
+        assert (code, err) == (EXIT_OK, "")
+        expected = {direction_key(Fraction(b[0] - a[0]), Fraction(b[1] - a[1]))
+                    for k, a in enumerate(points) for b in points[k + 1:]}
+        assert max(abs(v) for d in expected for v in d) > 10 ** 4300
+        if json_flag:
+            classes = json.loads(out)["payload"]["spectrum"]["classes"]
+            assert {(c["direction"]["dx"], c["direction"]["dy"]) for c in classes} == expected
+        else:
+            assert all(f'{{"dx": {dx}, "dy": {dy}}}' in out for dx, dy in expected)
 
 
 class TestRenderBeyondFloatRange:

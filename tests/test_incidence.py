@@ -7,7 +7,9 @@ arithmetic; they share no code with `Configuration.direction_classes`.
 angle routine: it checks the pass's sort and merge, bit for bit.
 """
 
+import itertools
 import math
+import random
 import struct
 import sys
 from fractions import Fraction
@@ -122,6 +124,39 @@ class TestAgainstBruteForce:
         cfg = exact_config([(0, 0), (1, 0), (0, 1), (0, 2), (3, 0), (5, 7)])
         assert brute_first_collinear_triple(cfg) == (0, 1, 4)
         assert is_general_position(cfg) == (False, (0, 1, 4))
+
+
+# A point near the origin sees the far pair (1e6, y), (1e6, y + 1e-4) about
+# 1e-10 rad apart, within eps: its two segments to them share a class,
+# though the pair's own segment is vertical.
+FAR_PAIR = [(1e6, 0.0), (1e6, 1e-4)]
+
+
+def far_pair_witness(points):
+    """The first sorted triple two of whose segments share a class: the
+    far pair with the first-numbered near point."""
+    near = min(k for k, p in enumerate(points) if p not in FAR_PAIR)
+    return tuple(sorted([points.index(p) for p in FAR_PAIR] + [near]))
+
+
+class TestFloatNumbering:
+    """A float general-position verdict does not depend on how the points
+    are numbered: a shared point in (h, i), (i, k) counts as in (i, j), (i, k)."""
+
+    def test_every_order_of_five(self):
+        five = FAR_PAIR + [(0.0, 0.0), (3.0, 7.0), (-5.0, 2.0)]
+        for order in itertools.permutations(five):
+            assert is_general_position(float_config(order)) == (False, far_pair_witness(order))
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_near_points(self, seed):
+        rng = random.Random(seed)
+        # near points 0.5 apart in y: a far point sees them 5e-7 rad apart
+        points = FAR_PAIR + [(rng.uniform(-10, 10), k + rng.random() / 2) for k in range(6)]
+        for _ in range(4):
+            rng.shuffle(points)
+            assert is_general_position(float_config(points)) == (False, far_pair_witness(points))
 
 
 @pytest.fixture

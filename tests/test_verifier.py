@@ -35,6 +35,7 @@ from slopespectra import (
     verify_theorem,
 )
 from slopespectra.errors import InconsistentGap, TooFewPoints
+from slopespectra.verifier import _locate_gap
 
 from conftest import parabola_config
 
@@ -243,6 +244,19 @@ class TestReconstruction:
             reconstruct_missing_vertex(cfg, conic, 5)
         with pytest.raises(InconsistentGap):
             reconstruct_missing_vertex(cfg, conic, 6)
+
+    def test_vertex_on_an_existing_point(self):
+        # gap 0 of the 12-gon less vertex 5 (hull order) rebuilds a vertex
+        # that is already there
+        cfg = gon_minus(12, 5)
+        pts = [cfg.points[i] for i in convex_position_order(cfg)]
+        conic = conic_through_5(pts[:5], cfg.backend)
+        with pytest.raises(InconsistentGap, match="coincides"):
+            reconstruct_missing_vertex(pts, conic, 0)
+
+    @pytest.mark.parametrize("failures, n", [([1, 5], 10), ([3], 10)])
+    def test_no_single_gap_signature(self, failures, n):
+        assert _locate_gap(failures, n) is None
 
 
 class TestCaseClassification:
