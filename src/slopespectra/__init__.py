@@ -25,7 +25,6 @@ from .slopes import (
     Criticality,
     CriticalityReport,
     Forbidden,
-    ForbiddenSlopeTable,
     ParallelWitness,
     SlopeClass,
     SlopeSpectrum,

@@ -58,16 +58,16 @@ def _eps(text: str) -> float:
             f"got {text!r}") from None
 
 
-def _expected(what: str, convert, valid=lambda value: True):
+def _expected(what: str, convert, accept=lambda value: True):
     """An option type: `convert` of the text, refused with "expected <what>,
-    got <text>" when it raises ValueError or gives a value not `valid`."""
+    got <text>" when it raises ValueError or `accept` refuses its value."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             pass
         else:
-            if valid(value):
+            if accept(value):
                 return value
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return parse
@@ -146,23 +146,8 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     config, digest = _load(args.file, args)
     spectrum = slope_spectrum(config)
-    table = forbidden_slope_table(config, spectrum)
-    crit = classify_criticality(config)
-    spectrum_doc = rep.spectrum_json(spectrum)
-    # the table holds the spectrum's own Direction objects: every entry
-    # shares its class's dict, which the report encoder writes once
-    class_docs = {id(cls.direction): doc["direction"]
-                  for cls, doc in zip(spectrum.classes, spectrum_doc["classes"])}
-    payload = {
-        "n": len(config),
-        "spectrum": spectrum_doc,
-        "forbidden": {
-            str(i): [class_docs[id(d)] for d in dirs]
-            for i, dirs in enumerate(table.per_point)
-        },
-        "criticality": crit.verdict.value,
-        "general_position": crit.general_position,
-    }
+    payload = rep.analyze_json(spectrum, forbidden_slope_table(config, spectrum),
+                               classify_criticality(config))
     _emit(_report("analyze", config, digest, payload, t0), args)
     return EXIT_OK
 

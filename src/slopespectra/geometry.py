@@ -40,7 +40,7 @@ class Point(Frozen):
     x: object
     y: object
 
-    def __init__(self, x, y):  # built per pair and per group step
+    def __init__(self, x, y):  # built per input point and per group step
         set_field(self, "x", x)
         set_field(self, "y", y)
 

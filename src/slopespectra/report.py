@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .conics import Conic
 from .geometry import Direction, Point
 from .pointfile import format_scalar
-from .slopes import SlopeSpectrum
+from .slopes import CriticalityReport, SlopeSpectrum
 from .verifier import Certificate, ProofCase, Refutation
 
 TIMING_KEY = "timing_ms"
@@ -37,7 +37,7 @@ def scalar_json(v):
 
 
 def point_json(p: Point):
-    return [scalar_json(p.x), scalar_json(p.y)]
+    return scalar_json(p.x), scalar_json(p.y)
 
 
 def direction_json(d: Direction):
@@ -57,7 +57,7 @@ def spectrum_json(spec: SlopeSpectrum):
         "count": spec.count,
         "classes": [
             {"direction": direction_json(cls.direction),
-             "pairs": [list(p) for p in cls.pairs]}
+             "pairs": cls.pairs}
             for cls in spec.classes
         ],
     }
@@ -70,21 +70,18 @@ def verdict_json(verdict):
             "conic": conic_json(verdict.conic),
             "base_point": point_json(verdict.base_point),
             "generator": point_json(verdict.generator),
-            "residues": list(verdict.residues),
+            "residues": verdict.residues,
             "missing_vertex": point_json(verdict.missing_vertex),
             "gap_position": verdict.gap_position,
-            "hull_order": list(verdict.hull_order),
+            "hull_order": verdict.hull_order,
             "full_chain_ok": verdict.full_chain_ok,
         }
     assert isinstance(verdict, Refutation)
-    witness = verdict.witness
-    if isinstance(witness, tuple):
-        witness = list(witness)
     return {
         "kind": "refutation",
         "stage": verdict.stage.value,
         "reason": verdict.reason,
-        "witness": witness,
+        "witness": verdict.witness,
     }
 
 
@@ -94,7 +91,22 @@ def case_json(case: ProofCase):
         "rotation": case.rotation,
         "reflected": case.reflected,
         "witness": case.witness,
-        "hull_order": list(case.hull_order),
+        "hull_order": case.hull_order,
+    }
+
+
+def analyze_json(spec: SlopeSpectrum, forbidden: tuple[tuple[int, ...], ...],
+                 crit: CriticalityReport):
+    """The `analyze` payload.  A forbidden entry is its class's direction
+    dict itself, so `_dumps` encodes that dict once per depth."""
+    spectrum = spectrum_json(spec)
+    directions = [cls["direction"] for cls in spectrum["classes"]]
+    return {
+        "n": crit.n,
+        "spectrum": spectrum,
+        "forbidden": {str(i): [directions[k] for k in ks] for i, ks in enumerate(forbidden)},
+        "criticality": crit.verdict.value,
+        "general_position": crit.general_position,
     }
 
 
@@ -213,7 +225,7 @@ def _flatten(prefix: str, value, out: list[str]):
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         out.append(f"{prefix}: {json.dumps(value, sort_keys=True)}")
     else:
         out.append(f"{prefix}: {value}")

@@ -40,12 +40,6 @@ class SlopeSpectrum(Frozen):
         return len(self.classes)
 
 
-class ForbiddenSlopeTable(Frozen):
-    """Per point index, the spectrum directions realized by no segment there."""
-
-    per_point: tuple[tuple[Direction, ...], ...]
-
-
 def slope_spectrum(config: Configuration) -> SlopeSpectrum:
     """Partition all n(n-1)/2 pair directions into parallelism classes."""
     n = len(config)
@@ -60,18 +54,19 @@ def _vertices(cls: SlopeClass) -> set[int]:
 
 
 def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) -> list[Direction]:
-    """Spectrum directions not realized by any segment incident to point i."""
+    """The directions of the classes that `forbidden_slope_table` lists at
+    point i: those no segment incident to point i realizes."""
     if not 0 <= i < len(config):
         raise IndexOutOfRange(f"point index {i} out of range")
     return [cls.direction for cls in spectrum.classes if i not in _vertices(cls)]
 
 
-def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> ForbiddenSlopeTable:
+def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> tuple[tuple[int, ...], ...]:
+    """Per point index, the indices into `spectrum.classes` of the classes
+    that no segment at that point realizes: its forbidden slopes."""
     vertex_sets = [_vertices(cls) for cls in spectrum.classes]
-    return ForbiddenSlopeTable(tuple(
-        tuple(cls.direction for cls, vs in zip(spectrum.classes, vertex_sets) if i not in vs)
-        for i in range(len(config))
-    ))
+    return tuple(tuple(k for k, vs in enumerate(vertex_sets) if i not in vs)
+                 for i in range(len(config)))
 
 
 class Forbidden(Frozen):

@@ -111,7 +111,7 @@ class TestAgainstBruteForce:
             spectrum = slope_spectrum(cfg)
             assert spectrum.count == brute_slope_count(exact)
             table = forbidden_slope_table(cfg, spectrum)
-            got = [[_direction_slope(d) for d in dirs] for dirs in table.per_point]
+            got = [[_direction_slope(spectrum.classes[k].direction) for k in ks] for ks in table]
             assert [len(dirs) for dirs in got] == [len(set(dirs)) for dirs in got]
             assert [set(dirs) for dirs in got] == brute_forbidden(exact)
 

@@ -97,6 +97,12 @@ class TestReport:
         doc = rep.to_json(self._make())
         assert doc.index('"backend"') < doc.index('"command"') < doc.index('"eps"')
 
+    def test_text_tuple_is_the_equal_list(self):
+        value = (1, (2, "x"), [0.5, None])
+        as_list = [1, [2, "x"], [0.5, None]]
+        assert rep.to_text({"payload": {"w": value}}) == rep.to_text({"payload": {"w": as_list}})
+        assert rep.to_text({"payload": {"w": value}}) == 'payload.w: [1, [2, "x"], [0.5, null]]\n'
+
 
 JSON_SCALARS = st.one_of(
     st.none(),
@@ -121,7 +127,8 @@ def shared_leaf(draw):
     different depths, beside an arbitrary value."""
     leaf = draw(st.one_of(st.dictionaries(st.text(max_size=3), JSON_SCALARS, min_size=1,
                                           max_size=3),
-                          st.lists(JSON_SCALARS, min_size=1, max_size=3)))
+                          st.lists(JSON_SCALARS, min_size=1, max_size=3),
+                          st.lists(JSON_SCALARS, min_size=1, max_size=3).map(tuple)))
     return {"top": leaf, "same": [leaf, leaf, {"k": leaf}], "deeper": ([leaf],),
             "value": draw(JSON_VALUES)}
 

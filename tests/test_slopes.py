@@ -120,12 +120,16 @@ class TestForbiddenSlopes:
         cfg = parabola_config([0, 1, 2, 4, 7])
         spec = slope_spectrum(cfg)
         table = forbidden_slope_table(cfg, spec)
-        for i, dirs in enumerate(table.per_point):
+        assert len(table) == len(cfg)
+        for i, ks in enumerate(table):
+            dirs = [spec.classes[k].direction for k in ks]
             realized = {
                 ci for ci, cls in enumerate(spec.classes)
                 if any(i in p for p in cls.pairs)
             }
             assert len(realized) + len(dirs) == spec.count
+            assert realized.isdisjoint(ks)
+            assert dirs == forbidden_slopes_at(cfg, spec, i)
 
 
 class TestLemma1Dichotomy:

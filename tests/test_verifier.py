@@ -1,5 +1,6 @@
 """Theorem verdicts: certificates, refutation stages, case classification."""
 
+import json
 import math
 
 import pytest
@@ -31,9 +32,11 @@ from slopespectra import (
     reconstruct_missing_vertex,
     regular_polygon,
     segments_parallel,
+    serialize_points,
     slope_spectrum,
     verify_theorem,
 )
+from slopespectra import cli
 from slopespectra.errors import InconsistentGap, TooFewPoints
 from slopespectra.verifier import _locate_gap
 
@@ -257,6 +260,55 @@ class TestReconstruction:
     @pytest.mark.parametrize("failures, n", [([1, 5], 10), ([3], 10)])
     def test_no_single_gap_signature(self, failures, n):
         assert _locate_gap(failures, n) is None
+
+
+def near_instance(m, k, seed, delta, perturb_seed):
+    """The m-gon less vertex k under a seeded affine map, perturbed by delta."""
+    image = apply_affine(gon_minus(m, k), random_affine_map(seed, 5))
+    return perturb(image, delta, perturb_seed)
+
+
+# One seeded near-instance per refutation that only perturbation reaches.
+# Each sits near a tolerance; all give these verdicts on CPython 3.10-3.13.
+NEAR_INSTANCES = {
+    "step": ((30, 7, 709727, 5.6234132519034904e-12, 481929),  # delta 10**-11.25
+             Stage.RECONSTRUCTION, "hull point 10 does not equal 6 times the generator", 10),
+    "gap_parallel_1": ((18, 13, 592383, 1.0471285480508986e-11, 8892),  # 10**-10.98
+                       Stage.RECONSTRUCTION,
+                       "InconsistentGap: reconstructed vertex fails B A_{g+1} || A_g A_{g+2}",
+                       None),
+    "gap_parallel_2": ((24, 16, 998199, 2.238721138568338e-12, 286171),  # 10**-11.65
+                       Stage.RECONSTRUCTION,
+                       "InconsistentGap: reconstructed vertex fails B A_g || A_{g-1} A_{g+1}",
+                       None),
+    "completed_chain": ((21, 9, 849935, 7.413102413009162e-13, 846776),  # 10**-12.13
+                        Stage.RECONSTRUCTION,
+                        "completed polygon fails the chain at cyclic index 19", 19),
+    "no_single_gap": ((11, 3, 349824, 2.2387211385683377e-10, 603775),  # 10**-9.65
+                      Stage.CHAIN_GAP, "chain failures at [1, 3, 4] do not match a single gap",
+                      (1, 3, 4)),
+}
+
+
+class TestNearInstanceRefutations:
+    @pytest.mark.parametrize("name", sorted(NEAR_INSTANCES))
+    def test_stage_reason_witness(self, name):
+        args, stage, reason, witness = NEAR_INSTANCES[name]
+        v = verify_theorem(near_instance(*args))
+        assert isinstance(v, Refutation)
+        assert (v.stage, v.reason, v.witness) == (stage, reason, witness)
+
+    def test_cli_writes_the_witness_as_an_array(self, tmp_path, capsys):
+        args, stage, reason, witness = NEAR_INSTANCES["no_single_gap"]
+        path = tmp_path / "near.txt"
+        path.write_text(serialize_points(near_instance(*args)))
+        assert cli.main(["verify", str(path), "--json"]) == cli.EXIT_REFUTED
+        out = capsys.readouterr().out
+        assert '"witness": [\n        1,\n        3,\n        4\n      ]' in out
+        assert json.loads(out)["payload"]["verdict"] == {
+            "kind": "refutation", "stage": stage.value, "reason": reason, "witness": [1, 3, 4]}
+        assert cli.main(["verify", str(path)]) == cli.EXIT_REFUTED
+        assert "payload.verdict.witness: [1, 3, 4]\n" in capsys.readouterr().out
 
 
 class TestCaseClassification:
