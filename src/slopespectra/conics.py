@@ -144,32 +144,63 @@ def _det(rows) -> int:
     return sign * m[-1][-1]
 
 
-def _cofactors(rows) -> list[int]:
-    """The six cofactors of a row appended to five integer rows of six, by
-    signed 5x5 minors.  By Cramer's rule they span the kernel of the five
-    rows, and are all zero iff the five have rank < 5."""
-    return [(-1) ** (5 + j) * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
+def _kernel(rows) -> list[int] | None:
+    """A nonzero integer vector spanning the kernel of five integer rows of
+    six, or None when their rank is below 5.
+
+    One fraction-free (Gauss-Jordan) elimination: after each pivot step
+    every entry is a minor of the rows, so each division by the previous
+    pivot is exact.  With the one free column f, the last pivot D and the
+    entries c_i of column f, the vector is D at f and -c_i at the i-th
+    pivot column: up to sign, the signed 5x5 minors of Cramer's rule.
+    """
+    m = [list(r) for r in rows]
+    pivots, free, prev = [], None, 1
+    for c in range(6):
+        r = len(pivots)
+        pr = next((i for i in range(r, 5) if m[i][c]), None)
+        if pr is None:
+            if free is not None:
+                return None
+            free = c
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top, pk = m[r], m[r][c]
+        cols = range(c + 1, 6) if free is None else (free, *range(c + 1, 6))
+        for i, mi in enumerate(m):
+            if i != r:
+                mic = mi[c]
+                for j in cols:
+                    mi[j] = (mi[j] * pk - mic * top[j]) // prev
+        pivots.append(c)
+        prev = pk
+    vec = [0] * 6
+    vec[free] = prev
+    for row, c in zip(m, pivots):
+        vec[c] = -row[free]
+    return vec
 
 
 def conic_through_5(points, backend: Backend) -> Conic:
     """The unique conic through five points, no three collinear.
 
-    Both backends fit exactly: the coefficients are the signed 5x5 minors
-    of the integer incidence rows; the float backend rounds only the final
+    Both backends fit exactly: the coefficients are the integer kernel of
+    the five incidence rows; the float backend rounds only the final
     coefficients.
     """
     points = list(points)
     if len(points) != 5:
         raise DegenerateInput(f"need exactly 5 points, got {len(points)}")
     _check_general_position(points, backend)
-    coeffs = _cofactors(_incidence_rows(points)[1])
-    nonzero = [v for v in coeffs if v != 0]
-    if not nonzero:
+    coeffs = _kernel(_incidence_rows(points)[1])
+    if coeffs is None:
         raise RankDeficient("incidence matrix has rank < 5")
     if backend.exact:
         return Conic.from_coeffs(coeffs, backend)
     # one representative per conic, its last nonzero coefficient positive:
-    # the float normalization signs the zero coefficients too
+    # the float normalization signs the zero coefficients too; int / int is
+    # correctly rounded, so any integer multiple of the kernel gives these bits
+    nonzero = [v for v in coeffs if v != 0]
     top = max(map(abs, nonzero))  # keeps the float images in range
     sign = 1 if nonzero[-1] > 0 else -1
     return Conic.from_coeffs([sign * v / top for v in coeffs], backend)
@@ -177,10 +208,10 @@ def conic_through_5(points, backend: Backend) -> Conic:
 
 def coconic_determinant(points, backend: Backend):
     """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1), exact
-    (a float on the float backend): the Laplace expansion of the integer
-    rows along the sixth, divided exactly by Z^12."""
+    (a float on the float backend): the determinant of the integer rows,
+    divided exactly by Z^12."""
     z, rows = _incidence_rows(points)
-    det = sum(v * c for v, c in zip(rows[5], _cofactors(rows[:5])))
+    det = _det(rows)
     return Fraction(det, z ** 12) if backend.exact else det / z ** 12
 
 
@@ -254,6 +285,10 @@ class ConicGroup(Frozen):
         """P + Q: the point R on the conic with chord RO parallel to PQ."""
         self._require_on_conic(p)
         self._require_on_conic(q)
+        return self._chord_sum(p, q)
+
+    def _chord_sum(self, p: Point, q: Point) -> Point:
+        """P + Q for two points the caller has already found on the conic."""
         b = self.conic.backend
         if points_equal(p, q, b):
             d = tangent_direction(self.conic, p)

@@ -78,9 +78,9 @@ class CollinearTriple(SlopeSpectraError):
 
 
 class RankDeficient(SlopeSpectraError):
-    """The conic incidence system does not determine a unique conic: all
-    six signed 5x5 minors of the integer incidence rows, which fit the
-    conics of both backends, are zero (rank below 5)."""
+    """The conic incidence system does not determine a unique conic: the
+    five integer incidence rows, whose kernel fits the conics of both
+    backends, have rank below 5 (all six signed 5x5 minors are zero)."""
 
 
 class DegenerateConic(SlopeSpectraError):

@@ -115,6 +115,7 @@ def _unit_direction(fx: float, fy: float) -> tuple[float, float, float]:
     flipped into the upper half-plane, and its angle in [0, pi)."""
     if fy < 0.0 or (fy == 0.0 and fx < 0.0):
         fx, fy = -fx, -fy
+    fy += 0.0  # -0.0 (a flipped or given zero) would give the angle -0.0
     h = math.hypot(fx, fy)
     fx, fy = fx / h, fy / h
     ang = math.atan2(fy, fx)

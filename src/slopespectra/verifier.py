@@ -116,6 +116,13 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
     point.  General position gives each point n - 1 distinct slope classes,
     so n+1 classes leave exactly two forbidden slopes at every point.
     Total: every failure mode is a Refutation, never a raise.
+
+    Witnesses use more than one numbering.  GeneralPosition's triple and
+    the ConvexPosition and Coconic witnesses are input indices.  ChainGap
+    lists the failing cyclic windows j (window j is hull positions j .. j+3).
+    The per-step Reconstruction witness is a hull position, and the
+    completed-chain index counts in the (n+1)-gon: hull order with the
+    reconstructed vertex inserted after position `gap_position`.
     """
     n = len(config)
     if n < 7:
@@ -169,16 +176,18 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
         group = ConicGroup(conic, base)
         residues = [0] * n
         # step check on the input points, A_{t} = A_{t-1} + x, so no
-        # rounding accumulates; distinct points make t*x != O for t < n
+        # rounding accumulates; distinct points make t*x != O for t < n.
+        # common_conic has tested every input point on this conic, so these
+        # sums of two input points skip add's membership tests
         for t in range(1, n):
             pos = (gap + 1 + t) % n
-            if not points_equal(group.add(pts[pos - 1], gen), pts[pos], b):
+            if not points_equal(group._chord_sum(pts[pos - 1], gen), pts[pos], b):
                 return Refutation(Stage.RECONSTRUCTION,
                                   f"hull point {pos} does not equal {t} times the generator",
                                   pos)
             residues[order[pos]] = t
         # (n+1)*x = O; then n*x != O too, or (n+1)*x would be x, not O
-        nx = group.add(pts[gap], gen)
+        nx = group._chord_sum(pts[gap], gen)
         if not points_equal(group.add(nx, gen), base, b):
             return Refutation(Stage.RECONSTRUCTION, "generator does not have order n+1")
     except SlopeSpectraError as exc:

@@ -236,6 +236,17 @@ class TestAnalyze:
         assert doc["payload"]["spectrum"]["count"] == 4
         assert all(len(v) == 1 for v in doc["payload"]["forbidden"].values())
 
+    def test_horizontal_class_angle_is_not_negative_zero(self, tmp_path, capsys):
+        # the first pair of the horizontal class points left: (1, 0) -> (0, 0)
+        path = tmp_path / "left.txt"
+        path.write_text("1.0 0.0\n0.0 0.0\n0.5 2.0\n3.0 1.0\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == EXIT_OK
+        angles = [c["direction"]["angle"]
+                  for c in json.loads(out)["payload"]["spectrum"]["classes"]]
+        assert 0.0 in angles
+        assert '"angle": -0.0' not in out
+
     def test_parse_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("0.5 x\n")

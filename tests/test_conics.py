@@ -6,6 +6,7 @@ can be checked against rational arithmetic on parameters.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -34,6 +35,7 @@ from slopespectra import (
     tangent_direction,
     direction_from_vector,
 )
+from slopespectra.conics import _det, _kernel
 from slopespectra.errors import (
     CollinearTriple,
     DegenerateConic,
@@ -188,8 +190,9 @@ def six_points(draw):
 
 
 class TestIntegerKernel:
-    """The fraction-free minors against a Leibniz expansion that shares no
-    code with the package."""
+    """The fraction-free determinant against a Leibniz expansion that shares
+    no code with the package, and the one-elimination kernel against the
+    signed minors by that determinant."""
 
     @given(six_points())
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -211,6 +214,57 @@ class TestIntegerKernel:
         for p in five:
             x, y = F(p.x), F(p.y)
             assert sum(c * t for c, t in zip(coeffs, (x * x, x * y, y * y, x, y, 1))) == 0
+
+    def test_kernel_is_the_signed_minors(self):
+        full = deficient = 0
+        for rows in kernel_cases(7, 600):
+            minors = signed_minors(rows)
+            vec = _kernel(rows)
+            if not any(minors):
+                deficient += 1
+                assert vec is None
+                continue
+            full += 1
+            # proportional: every 2x2 cross product vanishes, and vec != 0
+            assert any(vec)
+            assert all(vec[i] * minors[j] == vec[j] * minors[i]
+                       for i in range(6) for j in range(i + 1, 6))
+            assert all(sum(a * v for a, v in zip(r, vec)) == 0 for r in rows)
+        assert full > 300 and deficient > 50
+
+
+def signed_minors(rows) -> list[int]:
+    """The six signed 5x5 minors of five rows of six, each by `_det`: by
+    Cramer's rule they span the kernel, and all vanish iff the rank is < 5."""
+    return [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
+
+
+def kernel_cases(seed: int, count: int):
+    """Five random integer rows of six, a fifth of them with a zero first
+    column, a fifth with a dependent row, a fifth with a zero column
+    elsewhere (sometimes a zero row too) and a fifth with two proportional
+    columns, so the elimination must pivot across columns."""
+    rng = random.Random(seed)
+    for case in range(count):
+        bound = rng.choice((3, 10, 2 ** 40, 2 ** 110))
+        rows = [[rng.randint(-bound, bound) for _ in range(6)] for _ in range(5)]
+        kind = case % 5
+        if kind == 1:
+            for r in rows:
+                r[0] = 0
+        elif kind == 2:
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[rng.randrange(2, 5)] = [u * a + v * b for a, b in zip(rows[0], rows[1])]
+        elif kind == 3:
+            col = rng.randrange(6)
+            for r in rows:
+                r[col] = 0
+            if rng.random() < 0.3:
+                rows[4] = [0] * 6
+        elif kind == 4:
+            for r in rows:
+                r[1] = 2 * r[0]
+        yield rows
 
 
 class TestTangentAndSecondIntersection:

@@ -86,6 +86,15 @@ class TestDirection:
         d2 = direction(Point(0.0, 0.0), Point(-1.0, 1e-6), b)
         assert 0.0 <= d2.angle < 3.1415926535897932
 
+    def test_float_horizontal_angle_is_positive_zero(self):
+        # flipping a leftward vector negates its zero y; the angle must
+        # still be +0.0, not -0.0, and so must the given zero of (1, -0)
+        b = float_backend()
+        for dx, dy in ((-1.0, 0.0), (-1.0, -0.0), (1.0, -0.0), (2.5, 0.0)):
+            d = direction_from_vector(dx, dy, b)
+            assert (d.dx, d.dy, d.angle) == (1.0, 0.0, 0.0)
+            assert math.copysign(1.0, d.dy) == math.copysign(1.0, d.angle) == 1.0
+
 
 class TestOrientation:
     def test_counterclockwise(self):

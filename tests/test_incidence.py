@@ -310,6 +310,22 @@ class TestScaling:
         random_general_position(60, 1)
         assert orientation_calls[0] == 0
 
+    def test_float_verify_tests_each_point_on_the_conic_once(self, monkeypatch):
+        # common_conic tests every input point; the group steps add input
+        # points without testing them again, so a handful of tests remain
+        original = slopespectra.conics.is_on_conic
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        for name in ("conics", "regularity"):
+            monkeypatch.setattr(getattr(slopespectra, name), "is_on_conic", counted)
+        cfg = delete_vertices(regular_polygon(256), [0])
+        assert verify_theorem(cfg).full_chain_ok
+        assert len(cfg) < calls[0] <= len(cfg) + 16
+
     def test_float_verify_makes_no_cmp(self, cmp_calls):
         # every direction decision is the sine test of `geometry.turn`
         verify_theorem(delete_vertices(regular_polygon(256), [0]))
