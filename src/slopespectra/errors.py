@@ -136,7 +136,8 @@ class ParseError(SlopeSpectraError):
 
 
 class InvalidSpec(SlopeSpectraError):
-    """The generator pipeline specification is malformed."""
+    """The generator pipeline specification is malformed, or a random
+    generator was given a bound below 1."""
 
 
 class RenderTooLarge(SlopeSpectraError):

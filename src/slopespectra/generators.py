@@ -24,12 +24,11 @@ from typing import Optional, Sequence
 from ._frozen import Frozen
 from .errors import (
     GenerationExhausted,
-    IndexOutOfRange,
     InvalidSpec,
     PolygonTooSmall,
     TooFewRemaining,
 )
-from .geometry import Configuration, Point, direction_key, orientation
+from .geometry import Configuration, Point, orientation, primitive_direction, require_indices
 from .regularity import AffineMap, regular_vertex
 from .scalars import Backend, EXACT, float_backend
 
@@ -78,15 +77,14 @@ def regular_polygon(m: int, backend: Optional[Backend] = None) -> Configuration:
     if m < 3:
         raise PolygonTooSmall(f"need m >= 3, got {m}")
     b = backend if backend is not None else float_backend()
-    return Configuration.from_coords((regular_vertex(k, m) for k in range(m)), b)
+    vertices = [regular_vertex(k, m) for k in range(m)]
+    return Configuration.from_coords([(v.x, v.y) for v in vertices], b)
 
 
 def delete_vertices(config: Configuration, indices: Sequence[int]) -> Configuration:
     """The order-preserving subconfiguration without the given indices."""
     drop = set(indices)
-    for i in drop:
-        if not 0 <= i < len(config):
-            raise IndexOutOfRange(f"vertex index {i} out of range")
+    require_indices(drop, len(config))
     keep = [i for i in range(len(config)) if i not in drop]
     if len(keep) < 3:
         raise TooFewRemaining(f"only {len(keep)} points would remain")
@@ -97,7 +95,7 @@ def apply_affine(config: Configuration, T: AffineMap) -> Configuration:
     """Pointwise affine image; the backend is preserved, and a float image
     beyond the float range is refused (BackendMismatch)."""
     b = config.backend
-    return Configuration.from_coords((T.apply(p, b) for p in config.points), b)
+    return Configuration.from_coords(T.image_coords(config.points, b), b)
 
 
 def perturb(config: Configuration, delta, seed: int) -> Configuration:
@@ -126,19 +124,36 @@ def perturb(config: Configuration, delta, seed: int) -> Configuration:
     return Configuration.from_coords(coords, b)
 
 
-def _directions_if_free(pts, dirs, cand) -> Optional[list[tuple[int, int]]]:
+def _require_bound(bound: int) -> None:
+    if bound < 1:
+        raise InvalidSpec(f"need bound >= 1, got {bound}")
+
+
+def _ratios(x: Fraction, y: Fraction) -> tuple[int, int, int, int]:
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _directions_if_free(accepted, dirs, cand) -> Optional[list[tuple[int, int]]]:
     """The directions from each accepted point to the candidate, or None when
     it repeats a point or lies on a line through two of them.
 
-    dirs[i] holds the directions from pts[i] to the other accepted points;
-    cand is on the line through pts[i] and pts[j] iff its direction from
-    pts[i] is in dirs[i], so the test is O(len(pts)).
+    Points are given by the `_ratios` (a, b, c, d) of (a/b, c/d).  From
+    p = (e/f, g/h) to the candidate the integer vector
+    ((a f - e b) d h, (c h - g d) b f) is (cand - p) times b d f h > 0, so
+    its `primitive_direction` is the class of cand - p, one gcd per accepted
+    point; it is zero iff the candidate repeats p.  dirs[i] holds the
+    directions from accepted[i] to the other accepted points; the candidate
+    is on the line through accepted[i] and accepted[j] iff its direction
+    from accepted[i] is in dirs[i], so the test is O(len(accepted)).
     """
-    if any(p == cand for p in pts):
-        return None
+    a, b, c, d = cand
     keys = []
-    for p, seen in zip(pts, dirs):
-        key = direction_key(cand.x - p.x, cand.y - p.y)
+    for (e, f, g, h), seen in zip(accepted, dirs):
+        vx = (a * f - e * b) * d * h
+        vy = (c * h - g * d) * b * f
+        if not (vx or vy):
+            return None
+        key = primitive_direction(vx, vy)
         if key in seen:
             return None
         keys.append(key)
@@ -149,22 +164,26 @@ def random_general_position(n: int, seed: int, bound: int = 1000) -> Configurati
     """n random rational points with no three collinear; deterministic per seed."""
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
+    _require_bound(bound)
     rng = SplitMix64(seed)
     pts: list[Point] = []
+    accepted: list[tuple[int, int, int, int]] = []
     dirs: list[set[tuple[int, int]]] = []
     tries = 0
     while len(pts) < n:
         if tries >= _MAX_DRAWS:
             raise GenerationExhausted(f"no general-position configuration after {_MAX_DRAWS} draws")
         tries += 1
-        cand = Point(rng.fraction(bound), rng.fraction(bound))
-        keys = _directions_if_free(pts, dirs, cand)
+        x, y = rng.fraction(bound), rng.fraction(bound)
+        cand = _ratios(x, y)
+        keys = _directions_if_free(accepted, dirs, cand)
         if keys is None:
             continue
         for seen, key in zip(dirs, keys):
             seen.add(key)
         dirs.append(set(keys))
-        pts.append(cand)
+        accepted.append(cand)
+        pts.append(Point(x, y))
     return Configuration(tuple(pts), EXACT)
 
 
@@ -176,6 +195,7 @@ def random_noncollinear(n: int, seed: int, bound: int = 1000) -> Configuration:
     """
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
+    _require_bound(bound)
     rng = SplitMix64(seed)
     tries = 0
     while True:
@@ -215,6 +235,7 @@ def random_convex_position(n: int, seed: int, bound: int = 1000) -> Configuratio
     """
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
+    _require_bound(bound)
     rng = SplitMix64(seed)
     for _ in range(_MAX_CONVEX_ATTEMPTS):
         xs = sorted(rng.fraction(bound) for _ in range(n))
@@ -264,6 +285,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
         raise TooFewRemaining(f"need n >= 4, got {n}")
     outer = random_general_position(n - 1, seed, bound)
     pts = list(outer.points)
+    accepted = [_ratios(p.x, p.y) for p in pts]
     dirs: list[set[tuple[int, int]]] = [set() for _ in pts]
     for d, pairs in outer.direction_classes:
         for i, j in pairs:
@@ -280,7 +302,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
         if w3 <= 0:
             continue
         cand = Point(w1 * a.x + w2 * b.x + w3 * c.x, w1 * a.y + w2 * b.y + w3 * c.y)
-        if _directions_if_free(pts, dirs, cand) is None:
+        if _directions_if_free(accepted, dirs, _ratios(cand.x, cand.y)) is None:
             continue
         return Configuration(tuple(pts) + (cand,), EXACT)
     raise GenerationExhausted(f"no interior point found after {_MAX_INTERIOR_ATTEMPTS} attempts")
@@ -288,6 +310,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
 
 def random_affine_map(seed: int, bound: int = 5) -> AffineMap:
     """A seeded invertible affine map with small rational entries."""
+    _require_bound(bound)
     rng = SplitMix64(seed)
     while True:
         a, b, c, d = (rng.fraction(bound) for _ in range(4))

@@ -28,6 +28,7 @@ from ._frozen import Frozen, set_field
 from .errors import (
     CoincidentPoints,
     DuplicatePoints,
+    IndexOutOfRange,
     NotConvexPosition,
     TooFewPoints,
 )
@@ -68,7 +69,7 @@ class Direction(Frozen, uncompared=("angle",)):
         set_field(self, "angle", angle)
 
 
-def _primitive(ix: int, iy: int) -> tuple[int, int]:
+def primitive_direction(ix: int, iy: int) -> tuple[int, int]:
     """The primitive integer vector parallel to the nonzero (ix, iy), with
     dx > 0, or dx = 0 and dy > 0."""
     g = math.gcd(ix, iy)
@@ -82,8 +83,8 @@ def _primitive(ix: int, iy: int) -> tuple[int, int]:
 def direction_key(dx: Fraction, dy: Fraction) -> tuple[int, int]:
     """The canonical integer pair of the nonzero rational vector (dx, dy)."""
     den = math.lcm(dx.denominator, dy.denominator)
-    return _primitive(dx.numerator * (den // dx.denominator),
-                      dy.numerator * (den // dy.denominator))
+    return primitive_direction(dx.numerator * (den // dx.denominator),
+                               dy.numerator * (den // dy.denominator))
 
 
 def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
@@ -94,6 +95,13 @@ def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
     ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
     z = math.lcm(*(den for xy in ratios for _, den in xy))
     return z, [(nx * (z // dx), ny * (z // dy)) for (nx, dx), (ny, dy) in ratios]
+
+
+def require_indices(indices: Iterable[int], n: int) -> None:
+    """IndexOutOfRange for the first of the indices outside 0 .. n-1."""
+    for i in indices:
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"vertex index {i} out of range")
 
 
 def direction_from_vector(dx, dy, backend: Backend) -> Direction:
@@ -183,10 +191,19 @@ class Configuration(Frozen):
             # no x_k >= x_j then has x_k - x_i <= eps max(1, |x_i|, |x_k|), eps < 1
             xs = [p.x for p in pts]
             order = sorted(range(len(pts)), key=xs.__getitem__)
+            eps2 = 2 * b.eps_rel
+
+            def apart(i, j):
+                return xs[j] - xs[i] > eps2 * max(1.0, abs(xs[i]), abs(xs[j]))
+
+            # a sweep from a point whose x-successor is apart ends at once
+            starts = [a for a, (i, j) in enumerate(zip(order, order[1:])) if not apart(i, j)]
             equal = []
-            for a, i in enumerate(order):
-                for j in (order[c] for c in range(a + 1, len(order))):
-                    if xs[j] - xs[i] > 2 * b.eps_rel * max(1.0, abs(xs[i]), abs(xs[j])):
+            for a in starts:
+                i = order[a]
+                for c in range(a + 1, len(order)):
+                    j = order[c]
+                    if apart(i, j):
                         break
                     if points_equal(pts[i], pts[j], b):
                         equal.append((min(i, j), max(i, j)))
@@ -205,8 +222,11 @@ class Configuration(Frozen):
         return self.points[i]
 
     def reordered(self, order: Sequence[int]) -> "Configuration":
-        """The points at the given indices, in that order (a subset too)."""
-        return Configuration(tuple(self.points[i] for i in order), self.backend)
+        """The points at the given indices, in that order (a subset too);
+        IndexOutOfRange for an index outside 0 .. n-1."""
+        pts = self.points
+        require_indices(order, len(pts))
+        return Configuration(tuple(pts[i] for i in order), self.backend)
 
     @cached_property
     def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:
@@ -229,7 +249,7 @@ class Configuration(Frozen):
             for i, (xi, yi) in enumerate(grid):
                 for j in range(i + 1, len(grid)):
                     xj, yj = grid[j]
-                    classes.setdefault(_primitive(xj - xi, yj - yi), []).append((i, j))
+                    classes.setdefault(primitive_direction(xj - xi, yj - yi), []).append((i, j))
             return tuple((Direction(*key, True), tuple(classes[key]))
                          for key in sorted(classes))
 

@@ -53,8 +53,10 @@ class AffineMap(Frozen):
     def identity(cls) -> "AffineMap":
         return cls(((1, 0), (0, 1)), (0, 0))
 
-    def apply(self, p: Point, backend: Backend) -> Point:
-        """The image of p; BackendMismatch for a float map entry beyond the float range."""
+    def image_coords(self, points: Sequence[Point], backend: Backend) -> list[tuple]:
+        """The (x, y) images of the points, the six entries converted to the
+        backend's scalars once; BackendMismatch for a float map entry beyond
+        the float range."""
         num = Fraction if backend.exact else float
         (a, b), (c, d) = self.linear
         try:
@@ -62,7 +64,12 @@ class AffineMap(Frozen):
         except OverflowError:
             raise BackendMismatch(
                 "float backend cannot take a map entry beyond the float range") from None
-        return Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
+        return [(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty) for p in points]
+
+    def apply(self, p: Point, backend: Backend) -> Point:
+        """The image of p, as `image_coords` computes it."""
+        [(x, y)] = self.image_coords([p], backend)
+        return Point(x, y)
 
 
 def _cyclic_chain_failures(points: Sequence[Point], backend: Backend) -> list[int]:
@@ -197,7 +204,6 @@ def normalize_to_regular(points: Sequence[Point], m: int, backend: Backend,
     goal = [regular_vertex(t, m) for t in targets]
     T = solve_affine_map(points[:3], goal[:3], backend)
     residual = 0.0
-    for p, q in zip(points[3:], goal[3:]):
-        ip = T.apply(p, backend)
-        residual = max(residual, math.hypot(ip.x - q.x, ip.y - q.y))
+    for (x, y), q in zip(T.image_coords(points[3:], backend), goal[3:]):
+        residual = max(residual, math.hypot(x - q.x, y - q.y))
     return T, residual

@@ -4,9 +4,12 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopespectra import (
     EXACT,
+    Point,
     GeneratorSpec,
     SplitMix64,
     apply_affine,
@@ -22,8 +25,14 @@ from slopespectra import (
     serialize_points,
     slope_spectrum,
 )
-from slopespectra.errors import InvalidSpec, PolygonTooSmall, TooFewRemaining
+from slopespectra.errors import IndexOutOfRange, InvalidSpec, PolygonTooSmall, TooFewRemaining
+from slopespectra.generators import _directions_if_free, _ratios
+from slopespectra.geometry import direction_key
 from slopespectra.regularity import AffineMap
+
+
+def sha(config) -> str:
+    return hashlib.sha256(serialize_points(config).encode()).hexdigest()
 
 
 class TestSplitMix64:
@@ -80,6 +89,12 @@ class TestDeleteAndAffine:
         assert out.points[:3] == cfg.points[:3]
         assert out.points[3:] == cfg.points[4:]
         assert slope_spectrum(out).count == 9
+
+    def test_delete_out_of_range(self):
+        with pytest.raises(IndexOutOfRange):
+            delete_vertices(regular_polygon(5), [-1])
+        with pytest.raises(IndexOutOfRange):
+            delete_vertices(regular_polygon(5), [5])
 
     def test_delete_too_many(self):
         with pytest.raises(TooFewRemaining):
@@ -167,14 +182,33 @@ class TestRandomConfigurations:
          "8e7aa06ec20db093f6e911d432680518eea8364988635991d25a84682ded9b71"),
         (lambda s: random_convex_position(16, s, bound=6), 7,
          "203d2774065293a9b439643dedb962b096600a9fed0e29ced11fcdd145305f8a"),
+        (lambda s: random_noncollinear(12, s), 1,
+         "31c80dd7a15df798b4df8e8106f85f3dab79488b078730abebee3d603013765c"),
+        (lambda s: random_noncollinear(25, s), 7,
+         "4aac4fbcd79e4b9ca640cc954e19284b2e8dcf69470f65f68c236507e50cabdc"),
+        # small bound: draws that repeat a point are rejected first
+        (lambda s: random_noncollinear(6, s, bound=4), 3,
+         "631a574888a86d37590243b5e91e414d802ea2047697d63a657c38d01bbf3a01"),
     ])
     def test_output_pinned(self, make, seed, digest):
         # the accept/reject sequence of the collinearity test fixes the
         # output; these digests were taken from the triple-loop version, and
         # the convex ones from the version that sorted edge vectors with a
         # half-plane and cross-product comparator
-        text = serialize_points(make(seed))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert sha(make(seed)) == digest
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_general_position(5, 1, bound=0),
+        lambda: random_general_position(5, 1, bound=-3),
+        lambda: random_noncollinear(5, 1, bound=0),
+        lambda: random_convex_position(5, 1, bound=0),
+        lambda: random_with_interior_point(5, 1, bound=0),
+        lambda: random_affine_map(1, bound=0),
+        lambda: GeneratorSpec(random=5, bound=0).build(),
+    ])
+    def test_bound_below_one_refused(self, make):
+        with pytest.raises(InvalidSpec, match="bound >= 1"):
+            make()
 
     def test_noncollinear_allows_triples(self):
         # small bound makes collinear triples likely but never all-collinear
@@ -224,3 +258,80 @@ class TestGeneratorSpec:
     def test_random_pipeline_deterministic(self):
         s = GeneratorSpec(random=6, seed=9, bound=50)
         assert s.build().points == s.build().points
+
+
+class TestPipelinePinned:
+    """Bits of the polygon pipeline and of an exact affine image, pinned
+    before the map's entries were converted once per call."""
+
+    @pytest.mark.parametrize("m,digests", [
+        (7, ("bd0680ba0f2961dff15f9b34ff4fd9944ba26682db46e7a3dd52da75adf3bc03",
+             "f1eb6367cb9e2cb09f7eee70e3e288ebe9093f165e5065ad43faeba1bf2d857f",
+             "53d3dc0f6a15ea5e7ee8a7b2d527eb5d936fe02be8603b84e9f7ed6c276699d9",
+             "2798eec0321c56d4d4c477b45dded8845d01e646fe1f3c1dc37710388199759a")),
+        (16, ("18d94c4d42248a1d228f671a09c7d70065f1bb9e33a9854d2000e1dfd958faba",
+              "97b4a39e9089d022942a6103eeac42ff5b38d36c71f4477cefb899da0219503a",
+              "cf3c7cf1b204de8a1ac1c4c170a5a7876b05332ddc8dc2a1c94af959f7acaae9",
+              "22deed215d401037c3306a2528bb8f9a5d3779ff2a1a939a69b7fa011406ef95")),
+        (91, ("b1b85169ad20a6c85038ccdd6f690124fc231a8d89a47e8aac68639c5a489629",
+              "d031709e79347e9cf2221f6fbb68f46d757016b6f715c758187a528ae4179609",
+              "a35a3dcdaafdd14c4f9594c51c7d196fb14bf70b3efea9b0ec2a6bbcbbe12fa3",
+              "64317231bc2fc612fcc86d6e4c20f7fbc131c6d820bd6f64a205a82c34ac1462")),
+    ])
+    def test_float_polygon_pipeline(self, m, digests):
+        poly = regular_polygon(m)
+        deleted = delete_vertices(poly, [m // 3])
+        mapped = apply_affine(deleted, random_affine_map(m, 5))
+        perturbed = perturb(mapped, 1e-3, m)
+        assert tuple(map(sha, (poly, deleted, mapped, perturbed))) == digests
+
+    def test_exact_affine_image(self):
+        mapped = apply_affine(random_general_position(10, 3), random_affine_map(3, 5))
+        perturbed = perturb(mapped, Fraction(1, 100), 3)
+        assert (sha(mapped), sha(perturbed)) == (
+            "e630bec7d18e2bd20b126e1534f655a0387d89fa5761d13b07497378d3427bd8",
+            "855bcac6d280c6450ba33499a3d6fd627edd666499353c233b82ea47fbd69a43")
+
+
+RATIONALS = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
+POINTS = st.builds(Point, RATIONALS, RATIONALS)
+
+
+def reference_directions(pts, dirs, cand):
+    """The Fraction formulation of the rejection test: None when cand
+    repeats a point of pts or lies on a line through two of them."""
+    if any(p == cand for p in pts):
+        return None
+    keys = []
+    for p, seen in zip(pts, dirs):
+        key = direction_key(cand.x - p.x, cand.y - p.y)
+        if key in seen:
+            return None
+        keys.append(key)
+    return keys
+
+
+class TestIntegerRejection:
+    @given(cands=st.lists(POINTS, min_size=2, max_size=12, unique=True), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, cands, data):
+        pts, accepted, dirs = [], [], []
+        for cand in cands:
+            keys = _directions_if_free(accepted, dirs, _ratios(cand.x, cand.y))
+            assert keys == reference_directions(pts, dirs, cand)
+            if keys is None:
+                continue
+            for seen, key in zip(dirs, keys):
+                seen.add(key)
+            dirs.append(set(keys))
+            accepted.append(_ratios(cand.x, cand.y))
+            pts.append(cand)
+        # the first two candidates are distinct, so both were accepted
+        i, j = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        t = data.draw(RATIONALS.filter(lambda t: t not in (0, 1)))
+        p, q = pts[i], pts[j]
+        on_line = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+        for cand in (p, on_line):
+            assert reference_directions(pts, dirs, cand) is None
+            assert _directions_if_free(accepted, dirs, _ratios(cand.x, cand.y)) is None

@@ -29,6 +29,7 @@ from slopespectra.errors import (
     BackendMismatch,
     CoincidentPoints,
     DuplicatePoints,
+    IndexOutOfRange,
     NotConvexPosition,
     TooFewPoints,
 )
@@ -317,6 +318,13 @@ class TestConvexPositionOrder:
         with pytest.raises(DuplicatePoints) as exc:
             cfg.reordered([2, 0, 1, 0, 2])
         assert exc.value.indices == (0, 4)
+
+    def test_reordered_rejects_out_of_range_index(self):
+        # -1 is refused, as delete_vertices refuses it, not read as the last point
+        cfg = exact_config([(1, 1), (0, 0), (0, 1), (1, 0)])
+        for order, bad in (([-1, 0, 1], -1), ([0, 1, 4], 4)):
+            with pytest.raises(IndexOutOfRange, match=f"vertex index {bad} out of range"):
+                cfg.reordered(order)
 
     def test_ccw_orientation(self):
         from slopespectra import random_convex_position
