@@ -33,6 +33,7 @@ from .geometry import (
     Configuration,
     Direction,
     Point,
+    common_denominator,
     direction_from_vector,
     integer_grid,
     is_general_position,
@@ -43,18 +44,15 @@ from .scalars import Backend, ordered_sum
 
 
 def _normalize_coeffs(raw, backend: Backend):
-    vals = list(raw)
     if backend.exact:
-        vals = [Fraction(v) for v in vals]
-        den = math.lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (den // v.denominator) for v in vals]
+        _, ints = common_denominator(raw)
         g = math.gcd(*ints)
         if g == 0:
             raise DegenerateConic("all six coefficients are zero")
         if next(v for v in ints if v != 0) < 0:
             g = -g
         return tuple(v // g for v in ints)
-    vals = [float(v) for v in vals]
+    vals = [float(v) for v in raw]
     norm = math.sqrt(ordered_sum(v * v for v in vals))
     if norm == 0.0:
         raise DegenerateConic("all six coefficients are zero")
@@ -122,49 +120,30 @@ def _incidence_rows(points) -> tuple[int, list[list[int]]]:
     return z, [[x * x, x * y, y * y, x * z, y * z, z * z] for x, y in grid]
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so no Fraction is ever built."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mi, mik = m[i], m[i][k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pk - mik * m[k][j]) // prev
-        prev = pk
-    return sign * m[-1][-1]
-
-
 def _kernel(rows) -> list[int] | None:
-    """A nonzero integer vector spanning the kernel of five integer rows of
-    six, or None when their rank is below 5.
+    """The signed 5x5 minors (-1)^j M_j (M_j without column j) of five
+    integer rows of six, or None when their rank is below 5.  They span the
+    kernel (Cramer), and a sixth row dotted with them is minus the 6x6
+    determinant it completes (Laplace, along that row).
 
     One fraction-free (Gauss-Jordan) elimination: after each pivot step
     every entry is a minor of the rows, so each division by the previous
-    pivot is exact.  With the one free column f, the last pivot D and the
-    entries c_i of column f, the vector is D at f and -c_i at the i-th
-    pivot column: up to sign, the signed 5x5 minors of Cramer's rule.
+    pivot is exact.  With the one free column f, the last pivot D = s M_f
+    (s the sign of the row swaps) and the entries c_i of column f, the
+    minors are s (-1)^f times D at f and -c_i at the i-th pivot column.
     """
     m = [list(r) for r in rows]
-    pivots, free, prev = [], None, 1
+    r, free, prev, sign = 0, None, 1, 1  # r: the pivots found so far
     for c in range(6):
-        r = len(pivots)
         pr = next((i for i in range(r, 5) if m[i][c]), None)
         if pr is None:
             if free is not None:
                 return None
             free = c
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
         top, pk = m[r], m[r][c]
         cols = range(c + 1, 6) if free is None else (free, *range(c + 1, 6))
         for i, mi in enumerate(m):
@@ -172,12 +151,11 @@ def _kernel(rows) -> list[int] | None:
                 mic = mi[c]
                 for j in cols:
                     mi[j] = (mi[j] * pk - mic * top[j]) // prev
-        pivots.append(c)
+        r += 1
         prev = pk
-    vec = [0] * 6
-    vec[free] = prev
-    for row, c in zip(m, pivots):
-        vec[c] = -row[free]
+    sign *= (-1) ** free
+    vec = [-sign * row[free] for row in m]  # the pivot columns, ascending
+    vec.insert(free, sign * prev)
     return vec
 
 
@@ -208,18 +186,20 @@ def conic_through_5(points, backend: Backend) -> Conic:
 
 def coconic_determinant(points, backend: Backend):
     """The 6x6 determinant of incidence rows (x^2, xy, y^2, x, y, 1), exact
-    (a float on the float backend): the determinant of the integer rows,
-    divided exactly by Z^12."""
+    (a float on the float backend): the sixth integer row expanded against
+    the `_kernel` of the first five (Laplace), divided exactly by Z^12."""
+    points = list(points)
+    if len(points) != 6:
+        raise DegenerateInput(f"need exactly 6 points, got {len(points)}")
     z, rows = _incidence_rows(points)
-    det = _det(rows)
+    minors = _kernel(rows[:5])
+    det = 0 if minors is None else -sum(a * k for a, k in zip(rows[5], minors))
     return Fraction(det, z ** 12) if backend.exact else det / z ** 12
 
 
 def coconic_6(points, backend: Backend) -> bool:
     """Whether six points lie on a common (possibly degenerate) conic."""
     points = list(points)
-    if len(points) != 6:
-        raise DegenerateInput(f"need exactly 6 points, got {len(points)}")
     det = coconic_determinant(points, backend)
     if backend.exact:
         return det == 0

@@ -59,7 +59,10 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] (modulo reduction; bias is irrelevant
-        at the ranges used here and keeps the draw count deterministic)."""
+        at the ranges used here and keeps the draw count deterministic);
+        InvalidSpec, before any draw, for an empty range."""
+        if hi < lo:
+            raise InvalidSpec(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
     def fraction(self, bound: int) -> Fraction:
@@ -299,8 +302,6 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
         w1 = Fraction(rng.randint(1, 97), 100)
         w2 = Fraction(rng.randint(1, int((1 - w1) * 100) - 1), 100)
         w3 = 1 - w1 - w2
-        if w3 <= 0:
-            continue
         cand = Point(w1 * a.x + w2 * b.x + w3 * c.x, w1 * a.y + w2 * b.y + w3 * c.y)
         if _directions_if_free(accepted, dirs, _ratios(cand.x, cand.y)) is None:
             continue

@@ -19,7 +19,6 @@ taken modulo n wherever an operation documents it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -80,21 +79,21 @@ def primitive_direction(ix: int, iy: int) -> tuple[int, int]:
     return ix, iy
 
 
-def direction_key(dx: Fraction, dy: Fraction) -> tuple[int, int]:
-    """The canonical integer pair of the nonzero rational vector (dx, dy)."""
-    den = math.lcm(dx.denominator, dy.denominator)
-    return primitive_direction(dx.numerator * (den // dx.denominator),
-                               dy.numerator * (den // dy.denominator))
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(Z, [v Z, ...]): Z the lcm of the denominators of the values, so each
+    v Z is an integer.  Takes ints, Fractions and floats alike (a float is an
+    exact dyadic rational)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    z = math.lcm(*[den for _, den in ratios])
+    return z, [num * (z // den) for num, den in ratios]
 
 
 def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
-    """The points on one integer grid: (Z, [(x Z, y Z), ...]), Z the lcm of
-    all coordinate denominators.  Takes Fractions and floats alike (a float
-    is an exact dyadic rational); scaling changes no direction or incidence.
-    """
-    ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
-    z = math.lcm(*(den for xy in ratios for _, den in xy))
-    return z, [(nx * (z // dx), ny * (z // dy)) for (nx, dx), (ny, dy) in ratios]
+    """The points on one integer grid: (Z, [(x Z, y Z), ...]), by
+    `common_denominator` of all coordinates; scaling by Z changes no
+    direction or incidence."""
+    z, ints = common_denominator([p.x for p in points] + [p.y for p in points])
+    return z, list(zip(ints[:len(points)], ints[len(points):]))
 
 
 def require_indices(indices: Iterable[int], n: int) -> None:
@@ -107,10 +106,10 @@ def require_indices(indices: Iterable[int], n: int) -> None:
 def direction_from_vector(dx, dy, backend: Backend) -> Direction:
     """Canonical Direction of the (nonzero) vector (dx, dy)."""
     if backend.exact:
-        fx, fy = Fraction(dx), Fraction(dy)
-        if fx == 0 and fy == 0:
+        _, (ix, iy) = common_denominator((dx, dy))
+        if ix == 0 and iy == 0:
             raise CoincidentPoints("zero vector has no direction")
-        return Direction(*direction_key(fx, fy), True)
+        return Direction(*primitive_direction(ix, iy), True)
     fx, fy = float(dx), float(dy)
     if fx == 0.0 and fy == 0.0:
         raise CoincidentPoints("zero vector has no direction")
@@ -129,8 +128,6 @@ def _unit_direction(fx: float, fy: float) -> tuple[float, float, float]:
     ang = math.atan2(fy, fx)
     if ang >= math.pi:
         ang -= math.pi
-    if ang < 0.0:
-        ang = 0.0
     return fx, fy, ang
 
 

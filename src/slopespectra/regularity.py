@@ -20,7 +20,6 @@ from .errors import (
     CollinearSource,
     CollinearTriple,
     NonInvertible,
-    SlopeSpectraError,
     TooFewPoints,
 )
 from .geometry import (
@@ -124,14 +123,15 @@ def convex_polygon(config: Configuration) -> tuple[tuple[int, ...], list[Point]]
 
 
 def common_conic(pts: Sequence[Point], order: Sequence[int], backend: Backend
-                 ) -> tuple[Optional[Conic], Optional[str], Optional[int]]:
+                 ) -> tuple[Conic, Optional[str], Optional[int]]:
     """(conic, None, None) when the points, in hull order, lie on the non-degenerate
-    conic through the first five; else (that conic or None, the reason, the input
-    index from `order` of the first point off it or None)."""
-    try:
-        conic = conic_through_5(pts[:5], backend)
-    except SlopeSpectraError as exc:
-        return None, f"no conic through the first five hull points: {exc}", None
+    conic through the first five; else (that conic, the reason, the input index
+    from `order` of the first point off it or None).  The points must be the hull
+    of a configuration in general and convex position (`convex_polygon`), so the
+    fit cannot fail: five of them keep general position, their slope classes
+    refining the configuration's, and have incidence rank 5, no three of them
+    being collinear on their exact grid."""
+    conic = conic_through_5(pts[:5], backend)
     if conic.degenerate:
         return conic, "conic through the first five hull points is degenerate", None
     for pos, p in enumerate(pts):

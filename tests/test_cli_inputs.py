@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopespectra import EXACT, direction_from_vector
 from slopespectra.cli import EXIT_ERROR, EXIT_OK, EXIT_REFUTED, main
-from slopespectra.geometry import direction_key
 
 BIG = 10 ** 400
 SIGN = st.sampled_from(["", "-", "+"])
@@ -165,8 +165,9 @@ class TestIntegersOfAnyLength:
         lines = [f"{x} {y}" for x, y in points]
         code, out, err = call(["analyze", write(tmp_path, lines)] + ["--json"] * json_flag)
         assert (code, err) == (EXIT_OK, "")
-        expected = {direction_key(Fraction(b[0] - a[0]), Fraction(b[1] - a[1]))
-                    for k, a in enumerate(points) for b in points[k + 1:]}
+        directions = [direction_from_vector(Fraction(b[0] - a[0]), Fraction(b[1] - a[1]), EXACT)
+                      for k, a in enumerate(points) for b in points[k + 1:]]
+        expected = {(d.dx, d.dy) for d in directions}
         assert max(abs(v) for d in expected for v in d) > 10 ** 4300
         if json_flag:
             classes = json.loads(out)["payload"]["spectrum"]["classes"]

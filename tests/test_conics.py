@@ -35,7 +35,7 @@ from slopespectra import (
     tangent_direction,
     direction_from_vector,
 )
-from slopespectra.conics import _det, _kernel
+from slopespectra.conics import _kernel
 from slopespectra.errors import (
     CollinearTriple,
     DegenerateConic,
@@ -137,6 +137,11 @@ class TestCoconic6:
         pts = parabola_points([0, 1, 2, 3, 4]) + [pp(0)]
         assert coconic_6(pts, EXACT)
 
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_six_points_required(self, count):
+        with pytest.raises(DegenerateInput, match="exactly 6 points"):
+            coconic_determinant(parabola_points(list(range(count))), EXACT)
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5, 1e9])
     def test_float_verdict_is_scale_invariant(self, scale):
         # the determinant and the bound by columns both scale as s^8, so
@@ -154,7 +159,20 @@ def _sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-SIGNED_PERMUTATIONS = [(_sign(p), p) for p in permutations(range(6))]
+SIGNED_PERMUTATIONS = {n: [(_sign(p), p) for p in permutations(range(n))] for n in (5, 6)}
+
+
+def leibniz(rows):
+    """The determinant of a 5x5 or 6x6 matrix by the permutation expansion."""
+    total = 0
+    for sign, perm in SIGNED_PERMUTATIONS[len(rows)]:
+        term = sign
+        for row, col in zip(rows, perm):
+            term *= row[col]
+            if not term:
+                break
+        total += term
+    return total
 
 
 def leibniz_det(points) -> Fraction:
@@ -164,15 +182,7 @@ def leibniz_det(points) -> Fraction:
     for p in points:
         x, y = F(p.x), F(p.y)
         rows.append((x * x, x * y, y * y, x, y, F(1)))
-    total = F(0)
-    for sign, perm in SIGNED_PERMUTATIONS:
-        term = F(sign)
-        for row, col in zip(rows, perm):
-            term *= row[col]
-            if not term:
-                break
-        total += term
-    return total
+    return F(leibniz(rows))
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
@@ -190,9 +200,8 @@ def six_points(draw):
 
 
 class TestIntegerKernel:
-    """The fraction-free determinant against a Leibniz expansion that shares
-    no code with the package, and the one-elimination kernel against the
-    signed minors by that determinant."""
+    """The Laplace determinant and the one-elimination kernel against
+    Leibniz expansions that share no code with the package."""
 
     @given(six_points())
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -225,18 +234,15 @@ class TestIntegerKernel:
                 assert vec is None
                 continue
             full += 1
-            # proportional: every 2x2 cross product vanishes, and vec != 0
-            assert any(vec)
-            assert all(vec[i] * minors[j] == vec[j] * minors[i]
-                       for i in range(6) for j in range(i + 1, 6))
-            assert all(sum(a * v for a, v in zip(r, vec)) == 0 for r in rows)
+            assert vec == minors
         assert full > 300 and deficient > 50
 
 
 def signed_minors(rows) -> list[int]:
-    """The six signed 5x5 minors of five rows of six, each by `_det`: by
-    Cramer's rule they span the kernel, and all vanish iff the rank is < 5."""
-    return [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
+    """The six signed 5x5 minors (-1)^j M_j of five rows of six, each by
+    `leibniz`: by Cramer's rule they span the kernel, and all vanish iff the
+    rank is < 5."""
+    return [(-1) ** j * leibniz([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
 
 
 def kernel_cases(seed: int, count: int):

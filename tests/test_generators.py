@@ -15,6 +15,7 @@ from slopespectra import (
     apply_affine,
     delete_vertices,
     is_general_position,
+    orientation,
     perturb,
     random_affine_map,
     random_convex_position,
@@ -25,9 +26,16 @@ from slopespectra import (
     serialize_points,
     slope_spectrum,
 )
-from slopespectra.errors import IndexOutOfRange, InvalidSpec, PolygonTooSmall, TooFewRemaining
+from slopespectra import generators
+from slopespectra.errors import (
+    GenerationExhausted,
+    IndexOutOfRange,
+    InvalidSpec,
+    PolygonTooSmall,
+    TooFewRemaining,
+)
 from slopespectra.generators import _directions_if_free, _ratios
-from slopespectra.geometry import direction_key
+from slopespectra.geometry import direction_from_vector
 from slopespectra.regularity import AffineMap
 
 
@@ -53,6 +61,16 @@ class TestSplitMix64:
         for _ in range(500):
             f = rng.fraction(50)
             assert abs(f.numerator) <= 50 * 50 and 1 <= f.denominator <= 50
+
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (3, -3)])
+    def test_empty_range_refused(self, lo, hi):
+        rng = SplitMix64(1)
+        with pytest.raises(InvalidSpec, match="empty range"):
+            rng.randint(lo, hi)
+        assert rng.state == SplitMix64(1).state  # refused before drawing
+        for bound in (0, -3):
+            with pytest.raises(InvalidSpec, match="empty range"):
+                SplitMix64(1).fraction(bound)
 
 
 class TestRegularPolygon:
@@ -244,6 +262,72 @@ class TestRandomConfigurations:
             assert T.det != 0
 
 
+def assert_general_position(points):
+    """No two points equal and no three collinear, by an exact triple loop."""
+    assert len(set(points)) == len(points)
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            for r in points[j + 1:]:
+                assert orientation(p, points[j], r, EXACT) != 0
+
+
+class TestRejectionLoops:
+    """Each rejection branch of the generators, taken at bounds 1 to 3, where
+    the few coordinates make rejections likely; every output is checked by
+    brute force."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        """For each candidate that `_directions_if_free` refuses, the number
+        of accepted points it was tested against."""
+        sizes, real = [], generators._directions_if_free
+
+        def counted(accepted, dirs, cand):
+            keys = real(accepted, dirs, cand)
+            if keys is None:
+                sizes.append(len(accepted))
+            return keys
+
+        monkeypatch.setattr(generators, "_directions_if_free", counted)
+        return sizes
+
+    @pytest.mark.parametrize("n, seed, bound", [(5, 1, 1), (8, 0, 2), (6, 2, 3)])
+    def test_general_position(self, refused, n, seed, bound):
+        cfg = random_general_position(n, seed, bound)
+        assert refused
+        assert_general_position(cfg.points)
+
+    @pytest.mark.parametrize("seed, bound", [(8, 1), (6, 2), (56, 3)])
+    def test_noncollinear(self, monkeypatch, seed, bound):
+        # with three points, an orientation of 0 is a collinear draw refused
+        turns = []
+
+        def counted(*args):
+            turns.append(orientation(*args))
+            return turns[-1]
+
+        monkeypatch.setattr(generators, "orientation", counted)
+        cfg = random_noncollinear(3, seed, bound)
+        assert 0 in turns
+        assert_general_position(cfg.points)
+
+    @pytest.mark.parametrize("n, seed, bound", [(5, 134, 1), (6, 71, 2), (6, 11, 3)])
+    def test_interior_point(self, refused, n, seed, bound):
+        cfg = random_with_interior_point(n, seed, bound)
+        # the outer points are drawn against fewer than n - 1 accepted points
+        assert n - 1 in refused
+        assert_general_position(cfg.points)
+        # strictly inside a triangle of the others, so strictly inside their hull
+        a, b, c, inner = *cfg.points[:3], cfg.points[-1]
+        turn = orientation(a, b, c, EXACT)
+        assert all(orientation(p, q, inner, EXACT) == turn for p, q in ((a, b), (b, c), (c, a)))
+
+    def test_exhausted(self):
+        # a 3x3 lattice holds at most 6 points with no three in a line
+        with pytest.raises(GenerationExhausted):
+            random_general_position(7, 1, bound=1)
+
+
 class TestGeneratorSpec:
     def test_pipeline(self):
         cfg = GeneratorSpec(polygon=8, delete=(0,)).build()
@@ -304,7 +388,8 @@ def reference_directions(pts, dirs, cand):
         return None
     keys = []
     for p, seen in zip(pts, dirs):
-        key = direction_key(cand.x - p.x, cand.y - p.y)
+        d = direction_from_vector(cand.x - p.x, cand.y - p.y, EXACT)
+        key = d.dx, d.dy
         if key in seen:
             return None
         keys.append(key)

@@ -1,6 +1,7 @@
 """Points, directions, orientation, hulls."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,12 @@ class TestDirection:
         with pytest.raises(CoincidentPoints):
             direction(ep(1, 2), ep(1, 2), EXACT)
 
+    @pytest.mark.parametrize("dx, dy, backend", [
+        (F(0), 0, EXACT), (0.0, -0.0, float_backend()), (-0.0, 0.0, float_backend())])
+    def test_zero_vector_has_no_direction(self, dx, dy, backend):
+        with pytest.raises(CoincidentPoints, match="zero vector"):
+            direction_from_vector(dx, dy, backend)
+
     @given(
         x1=st.fractions(-100, 100), y1=st.fractions(-100, 100),
         x2=st.fractions(-100, 100), y2=st.fractions(-100, 100),
@@ -86,6 +93,17 @@ class TestDirection:
         assert d.angle == 0.0
         d2 = direction(Point(0.0, 0.0), Point(-1.0, 1e-6), b)
         assert 0.0 <= d2.angle < 3.1415926535897932
+
+    @given(*[st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                                        -sys.float_info.max, sys.float_info.min]),
+                       st.floats(allow_nan=False, allow_infinity=False))] * 2)
+    @settings(max_examples=500, derandomize=True)
+    def test_float_angle_in_range(self, dx, dy):
+        # finite vectors of any size: zeros of either sign, subnormals, the float maximum
+        if dx == 0.0 and dy == 0.0:
+            return
+        angle = direction_from_vector(dx, dy, float_backend()).angle
+        assert 0.0 <= angle < math.pi and math.copysign(1.0, angle) == 1.0
 
     def test_float_horizontal_angle_is_positive_zero(self):
         # flipping a leftward vector negates its zero y; the angle must

@@ -1,14 +1,19 @@
 """Chain test, affine-regularity certification, affine map solving."""
 
+import math
+import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 
 from slopespectra import (
     AffineMap,
+    Configuration,
     EXACT,
     Point,
     apply_affine,
+    conic_through_5,
     convex_position_order,
     float_backend,
     is_affinely_regular,
@@ -22,9 +27,14 @@ from slopespectra import (
 from slopespectra.errors import (
     BackendMismatch,
     CollinearSource,
+    CollinearTriple,
+    DuplicatePoints,
     NonInvertible,
+    NotConvexPosition,
     TooFewPoints,
 )
+
+from slopespectra.regularity import common_conic, convex_polygon
 
 from conftest import exact_config
 
@@ -119,9 +129,6 @@ class TestCommonConic:
     def test_witness_is_input_index(self):
         # the regular 9-gon with vertex 3 pushed 1% outward stays convex; its
         # hull order starts at vertex 5, so vertex 3 sits at hull position 7
-        from slopespectra import Configuration
-        from slopespectra.regularity import common_conic, convex_polygon
-
         coords = [tuple(p) for p in regular_polygon(9).points]
         coords[3] = (1.01 * coords[3][0], 1.01 * coords[3][1])
         cfg = Configuration.from_coords(coords, float_backend())
@@ -132,6 +139,42 @@ class TestCommonConic:
         assert (reason, witness) == ("point 3 is off the common conic", 3)
         cert = is_affinely_regular(cfg)
         assert not cert.granted and cert.reason == reason
+
+    def test_five_hull_points_always_fit(self):
+        # common_conic relies on this: five hull points of a configuration in
+        # general and convex position have a conic, on the float backend too
+        fitted = near_collinear = 0
+        for case, (coords, backend) in enumerate(convex_float_cases(1, 300)):
+            try:
+                _, pts = convex_polygon(Configuration.from_coords(coords, backend))
+            except (DuplicatePoints, CollinearTriple, NotConvexPosition):
+                continue
+            near_collinear += case % 2
+            for five in combinations(pts, 5):
+                conic_through_5(five, backend)
+                fitted += 1
+        assert fitted > 3000 and near_collinear > 50
+
+
+def convex_float_cases(seed: int, count: int):
+    """(coords, backend): 5 to 8 points on an ellipse of axis ratio 1e-3 .. 1,
+    rotated, translated by up to 1e3 and scaled by 1e-6 .. 1e6, read with an
+    eps of 1e-15 .. 0.3.  In every second case the first three points are about
+    1e-7 .. 1e-1 turns apart on the ellipse: two near-collinear sides."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randint(5, 8)
+        gaps = [rng.uniform(0.2, 1.0) for _ in range(n)]
+        if case % 2:
+            gaps[0] = gaps[1] = 10 ** rng.uniform(-7, -1) * sum(gaps)
+        angles = [2 * math.pi * a / sum(gaps) for a in accumulate(gaps, initial=0.0)][:n]
+        ratio, phi = 10 ** rng.uniform(-3, 0), rng.uniform(0, 2 * math.pi)
+        ox, oy = (rng.choice((-1, 1)) * 10 ** rng.uniform(-1, 3) for _ in range(2))
+        scale = 10 ** rng.uniform(-6, 6)
+        c, s = math.cos(phi), math.sin(phi)
+        coords = [(scale * (c * math.cos(t) - s * ratio * math.sin(t) + ox),
+                   scale * (s * math.cos(t) + c * ratio * math.sin(t) + oy)) for t in angles]
+        yield coords, float_backend(10 ** rng.uniform(-15, math.log10(0.3)))
 
 
 class TestSolveAffineMap:
