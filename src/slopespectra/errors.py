@@ -61,8 +61,8 @@ class IndexOrder(SlopeSpectraError):
 
 
 class LemmaViolation(SlopeSpectraError):
-    """A dichotomy that must hold on valid inputs failed; this signals a
-    predicate or tolerance bug, not a property of the configuration."""
+    """The chord dichotomy has no single branch: the class of A_i A_k holds
+    two segments at A_i or at A_j, or the witness lies outside (i, k)."""
 
 
 class CollinearTriple(SlopeSpectraError):

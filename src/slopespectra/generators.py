@@ -66,7 +66,9 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def fraction(self, bound: int) -> Fraction:
-        """A rational with |numerator| <= bound and denominator in [1, bound]."""
+        """A rational with |numerator| <= bound and denominator in [1, bound];
+        InvalidSpec, before any draw, for a bound below 1."""
+        _require_bound(bound)
         return Fraction(self.randint(-bound, bound), self.randint(1, bound))
 
     def shuffle(self, seq: list) -> None:

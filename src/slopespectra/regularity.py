@@ -81,19 +81,15 @@ def _cyclic_chain_failures(points: Sequence[Point], backend: Backend) -> list[in
     ]
 
 
-def korchmaros_chain(points: Sequence[Point], backend: Backend,
-                     cyclic: bool = True) -> tuple[bool, Optional[int]]:
-    """Whether P_{j+1}P_{j+2} || P_j P_{j+3} for every applicable j.
+def korchmaros_chain(points: Sequence[Point], backend: Backend) -> tuple[bool, Optional[int]]:
+    """Whether P_{j+1}P_{j+2} || P_j P_{j+3} for every cyclic j.
 
-    Cyclic mode checks all j mod n; linear mode checks j = 0 .. n-4.
     Returns (True, None) or (False, smallest failing j).
     """
     n = len(points)
     if n < 4:
         raise TooFewPoints(f"need at least 4 points, got {n}")
     fails = _cyclic_chain_failures(points, backend)
-    if not cyclic:
-        fails = [j for j in fails if j < n - 3]
     return not fails, fails[0] if fails else None
 
 
@@ -106,7 +102,6 @@ class RegularityCertificate(Frozen):
 
     granted: bool
     conic: Optional[Conic]
-    chain_ok: bool
     order: tuple[int, ...]
     reason: Optional[str]
 
@@ -148,12 +143,12 @@ def is_affinely_regular(config: Configuration) -> RegularityCertificate:
     order, pts = convex_polygon(config)
     conic, reason, _ = common_conic(pts, order, config.backend)
     if reason is not None:
-        return RegularityCertificate(False, conic, False, order, reason)
-    chain_ok, fail_j = korchmaros_chain(pts, config.backend, cyclic=True)
+        return RegularityCertificate(False, conic, order, reason)
+    chain_ok, fail_j = korchmaros_chain(pts, config.backend)
     if not chain_ok:
-        return RegularityCertificate(False, conic, False, order,
+        return RegularityCertificate(False, conic, order,
                                      f"chord chain fails at cyclic index {fail_j}")
-    return RegularityCertificate(True, conic, True, order, None)
+    return RegularityCertificate(True, conic, order, None)
 
 
 def solve_affine_map(src: Sequence[Point], dst: Sequence[Point],

@@ -7,7 +7,8 @@ merged sorted pair angles when float), computed once per configuration and
 shared with the general-position test and the criticality class.
 
 Forbidden slopes are read from each class's vertex set, so the whole table
-takes time proportional to its size plus the number of pairs.
+takes time proportional to its size plus the number of pairs.  The chord
+dichotomy reads the one class of its chord from the same table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 from ._frozen import Frozen, set_field
 from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
-from .geometry import Configuration, Direction, is_general_position, segments_parallel
+from .geometry import Configuration, Direction, is_general_position
 
 
 class SlopeClass(Frozen):
@@ -84,22 +85,19 @@ def lemma1_dichotomy(config: Configuration, i: int, j: int, k: int):
     slope of A_i A_k is forbidden at A_j or realized by a unique A_j A_p with
     i < p < k.
 
-    Exactly one branch holds on general-position convex input.  The witness
-    branch additionally checks that the witnessed slope is not the slope of
-    any other segment at A_i or at A_j; any inconsistency raises
-    LemmaViolation, which signals a predicate or tolerance bug.
+    Both are read from the class of A_i A_k in `direction_classes`: the slope
+    is forbidden at A_j exactly when `forbidden_slope_table` says so, and the
+    witness is A_j's partner in the class.  LemmaViolation is raised when the
+    class holds two segments at A_j, or a second one at A_i besides A_i A_k,
+    or when the witness lies outside (i, k); exactly one branch holds on
+    convex input in general position.
     """
     n = len(config)
     if not (0 <= i < j < k < n):
         raise IndexOrder(f"need 0 <= i < j < k < n, got ({i}, {j}, {k}), n={n}")
-    pts = config.points
-    b = config.backend
-    Ai, Aj, Ak = pts[i], pts[j], pts[k]
-
-    witnesses = [
-        l for l in range(n)
-        if l != j and segments_parallel(Ai, Ak, Aj, pts[l], b)
-    ]
+    pairs = next(pairs for _, pairs in config.direction_classes if (i, k) in pairs)
+    # the pairs are in lexicographic order, so each partner list is sorted
+    witnesses = [a + b - j for a, b in pairs if j in (a, b)]
     if not witnesses:
         return Forbidden()
     if len(witnesses) > 1:
@@ -111,16 +109,9 @@ def lemma1_dichotomy(config: Configuration, i: int, j: int, k: int):
         raise LemmaViolation(
             f"witness p={p} for ({i},{j},{k}) lies outside the open range ({i},{k})"
         )
-    # the witnessed slope must match no other chord at A_i or at A_j
-    for l in range(n):
-        if l not in (i, j, k) and segments_parallel(Aj, pts[p], Ai, pts[l], b):
-            raise LemmaViolation(
-                f"witness slope A{j}A{p} equals A{i}A{l}"
-            )
-        if l not in (i, j, k, p) and segments_parallel(Aj, pts[p], pts[l], Aj, b):
-            raise LemmaViolation(
-                f"witness slope A{j}A{p} equals A{l}A{j}"
-            )
+    others = [a + b - i for a, b in pairs if i in (a, b) and k not in (a, b)]
+    if others:
+        raise LemmaViolation(f"witness slope A{j}A{p} equals A{i}A{others[0]}")
     return ParallelWitness(p)
 
 

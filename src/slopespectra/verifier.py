@@ -165,7 +165,7 @@ def verify_theorem(config: Configuration) -> TheoremVerdict:
     try:
         vertex = reconstruct_missing_vertex(pts, conic, gap)
         completed = pts[:gap + 1] + [vertex] + pts[gap + 1:]
-        chain_ok, fail_j = korchmaros_chain(completed, b, cyclic=True)
+        chain_ok, fail_j = korchmaros_chain(completed, b)
         if not chain_ok:
             return Refutation(Stage.RECONSTRUCTION,
                               f"completed polygon fails the chain at cyclic index {fail_j}",

@@ -37,6 +37,7 @@ from slopespectra import (
 )
 from slopespectra.conics import _kernel
 from slopespectra.errors import (
+    BackendMismatch,
     CollinearTriple,
     DegenerateConic,
     DegenerateInput,
@@ -309,6 +310,32 @@ class TestTangentAndSecondIntersection:
         parabola = Conic.from_coeffs((1, 0, 0, 0, -1, 0), EXACT)
         with pytest.raises(NoSecondIntersection):
             second_intersection(parabola, pp(0), direction_from_vector(F(0), F(1), EXACT))
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: ConicGroup(parabola_group().conic, Point(F(1), F(2))),
+         OperandOffConic, "base point"),
+        (lambda: second_intersection(parabola_group().conic, pp(0),
+                                     direction_from_vector(1.0, 1.0, float_backend())),
+         BackendMismatch, "direction backend"),
+        # the x-axis lies in the line pair xy = 0
+        (lambda: second_intersection(Conic.from_coeffs((0, 1, 0, 0, 0, 0), EXACT),
+                                     Point(F(1), F(0)), direction_from_vector(F(1), F(0), EXACT)),
+         NoSecondIntersection, "contained in the conic"),
+        (lambda: conic_through_5(parabola_points([0, 1, 2, 3]), EXACT),
+         DegenerateInput, "need exactly 5 points, got 4"),
+        (lambda: conic_through_5(parabola_points([0, 1, 2, 3, 4, 5]), EXACT),
+         DegenerateInput, "need exactly 5 points, got 6"),
+        (lambda: pascal_parallel_coconic(parabola_points([0, 1, 3, 4, 5]), EXACT),
+         DegenerateInput, "need exactly 6 points, got 5"),
+        (lambda: pascal_parallel_coconic(parabola_points([0, 1, 3, 4, 5, 6, 7]), EXACT),
+         DegenerateInput, "need exactly 6 points, got 7"),
+    ], ids=["group-base-off-conic", "float-direction-exact-conic", "line-in-conic",
+            "fit-4-points", "fit-6-points", "pascal-5-points", "pascal-7-points"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestGroupLaw:

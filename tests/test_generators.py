@@ -68,9 +68,13 @@ class TestSplitMix64:
         with pytest.raises(InvalidSpec, match="empty range"):
             rng.randint(lo, hi)
         assert rng.state == SplitMix64(1).state  # refused before drawing
-        for bound in (0, -3):
-            with pytest.raises(InvalidSpec, match="empty range"):
-                SplitMix64(1).fraction(bound)
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_fraction_bound_refused_before_drawing(self, bound):
+        rng = SplitMix64(1)
+        with pytest.raises(InvalidSpec, match="need bound >= 1"):
+            rng.fraction(bound)
+        assert rng.state == SplitMix64(1).state
 
 
 class TestRegularPolygon:
@@ -148,7 +152,7 @@ class TestPerturb:
         from slopespectra import korchmaros_chain
 
         cfg = perturb(regular_polygon(6), 0.05, seed=1)
-        ok, _ = korchmaros_chain(cfg.points, cfg.backend, cyclic=True)
+        ok, _ = korchmaros_chain(cfg.points, cfg.backend)
         assert not ok
 
     def test_exact_backend_stays_rational(self):

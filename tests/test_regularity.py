@@ -48,29 +48,26 @@ def ep(x, y):
 class TestKorchmarosChain:
     def test_unit_square_cyclic(self):
         cfg = exact_config([(0, 0), (1, 0), (1, 1), (0, 1)])
-        ok, j = korchmaros_chain(cfg.points, EXACT, cyclic=True)
+        ok, j = korchmaros_chain(cfg.points, EXACT)
         assert ok and j is None
 
     def test_regular_hexagon(self):
         cfg = regular_polygon(6)
-        ok, _ = korchmaros_chain(cfg.points, cfg.backend, cyclic=True)
+        ok, _ = korchmaros_chain(cfg.points, cfg.backend)
         assert ok
 
     def test_moved_vertex_fails_with_index(self):
         cfg = perturb(regular_polygon(6), 0.05, seed=1)
-        ok, j = korchmaros_chain(cfg.points, cfg.backend, cyclic=True)
+        ok, j = korchmaros_chain(cfg.points, cfg.backend)
         assert not ok
         assert isinstance(j, int)
 
-    def test_linear_mode_skips_wrap(self):
-        # four consecutive vertices of a hexagon: only window j=0 applies and
-        # it holds; the cyclic windows would fail
+    def test_wrap_windows_checked(self):
+        # four consecutive vertices of a hexagon: window j=0 holds, the
+        # windows that wrap around fail
         hexagon = regular_polygon(6)
-        pts = hexagon.points[:4]
-        ok, _ = korchmaros_chain(pts, hexagon.backend, cyclic=False)
-        assert ok
-        ok_cyc, _ = korchmaros_chain(pts, hexagon.backend, cyclic=True)
-        assert not ok_cyc
+        ok, _ = korchmaros_chain(hexagon.points[:4], hexagon.backend)
+        assert not ok
 
     def test_too_few(self):
         with pytest.raises(TooFewPoints):
@@ -80,13 +77,23 @@ class TestKorchmarosChain:
 class TestIsAffinelyRegular:
     def test_regular_7gon(self):
         cert = is_affinely_regular(regular_polygon(7))
-        assert cert.granted and cert.chain_ok
+        assert cert.granted
         assert not cert.conic.degenerate
 
     def test_sheared_7gon(self):
         shear = AffineMap(((1, 2), (0, 1)), (0, 0))
         cert = is_affinely_regular(apply_affine(regular_polygon(7), shear))
         assert cert.granted
+
+    def test_chord_chain_refusal(self):
+        # rational points of the unit circle, convex and on one conic, but no
+        # affine image of a regular polygon: the chain breaks at window 0
+        ts = [F(0), F(1, 5), F(1, 2), F(1), F(2), F(5), F(-3), F(-1, 2)]
+        cfg = Configuration.from_coords(
+            [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts], EXACT)
+        cert = is_affinely_regular(cfg)
+        assert not cert.granted and not cert.conic.degenerate
+        assert cert.reason == "chord chain fails at cyclic index 0"
 
     def test_vertex_pulled_to_center_fails(self):
         cfg = regular_polygon(7)

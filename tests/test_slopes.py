@@ -1,6 +1,7 @@
 """Slope spectra, forbidden slopes, the chord dichotomy, criticality."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,15 @@ from slopespectra import (
     forbidden_slope_table,
     forbidden_slopes_at,
     lemma1_dichotomy,
+    perturb,
     random_affine_map,
+    random_convex_position,
     random_general_position,
+    random_noncollinear,
     regular_polygon,
     slope_spectrum,
 )
-from slopespectra.errors import AllCollinear, IndexOrder, TooFewPoints
+from slopespectra.errors import AllCollinear, IndexOrder, LemmaViolation, TooFewPoints
 
 from conftest import brute_slope_count, exact_config, parabola_config
 
@@ -172,6 +176,70 @@ class TestLemma1Dichotomy:
                     for k in range(j + 1, n):
                         verdict = lemma1_dichotomy(cfg, i, j, k)
                         assert isinstance(verdict, (Forbidden, ParallelWitness))
+
+    @pytest.mark.parametrize("make", [
+        lambda: delete_vertices(regular_polygon(12), [1]),
+        lambda: delete_vertices(regular_polygon(15), [0]),
+        lambda: apply_affine(delete_vertices(regular_polygon(12), [1]), random_affine_map(3)),
+        lambda: apply_affine(delete_vertices(regular_polygon(16), [5]), random_affine_map(8)),
+        lambda: perturb(delete_vertices(regular_polygon(12), [1]), 1e-11, 12),
+    ])
+    def test_float_follows_forbidden_table(self, make):
+        # on float input the verdict follows the class merge, as the table does
+        cfg = make()
+        spectrum = slope_spectrum(cfg)
+        table = forbidden_slope_table(cfg, spectrum)
+        class_of = {pair: c for c, cls in enumerate(spectrum.classes) for pair in cls.pairs}
+        for i, j, k in combinations(range(len(cfg)), 3):
+            verdict = lemma1_dichotomy(cfg, i, j, k)
+            c = class_of[i, k]
+            assert (verdict == Forbidden()) == (c in table[j])
+            if verdict != Forbidden():
+                assert class_of[min(j, verdict.p), max(j, verdict.p)] == c
+
+
+def brute_lemma1(points, i, j, k):
+    """Lemma 1 restated on exact cross products, one scan per condition in
+    the order the library checks them: the verdict, or the LemmaViolation
+    message."""
+    def parallel(a, b, c, d):
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = (points[t] for t in (a, b, c, d))
+        return (bx - ax) * (dy - cy) - (by - ay) * (dx - cx) == 0
+
+    n = len(points)
+    at_j = [l for l in range(n) if l != j and parallel(i, k, j, l)]
+    if not at_j:
+        return Forbidden()
+    if len(at_j) > 1:
+        return f"slope of A{i}A{k} realized at A{j} by several segments {at_j}"
+    p = at_j[0]
+    if not i < p < k:
+        return f"witness p={p} for ({i},{j},{k}) lies outside the open range ({i},{k})"
+    at_i = [l for l in range(n) if l not in (i, k) and parallel(i, k, i, l)]
+    if at_i:
+        return f"witness slope A{j}A{p} equals A{i}A{at_i[0]}"
+    return ParallelWitness(p)
+
+
+class TestLemma1AgainstBruteForce:
+    def test_exact_inputs(self):
+        # convex inputs in hull order, and lattice inputs with collinear
+        # triples in arbitrary order, which reach every LemmaViolation
+        cfgs = [random_convex_position(7, s, bound=5) for s in range(10)]
+        cfgs = [cfg.reordered(convex_position_order(cfg)) for cfg in cfgs]
+        cfgs += [random_noncollinear(8, s, bound=3) for s in range(30)]
+        kinds = set()
+        for cfg in cfgs:
+            points = [(p.x, p.y) for p in cfg.points]
+            n = len(cfg)
+            for i, j, k in combinations(range(n), 3):
+                try:
+                    got = lemma1_dichotomy(cfg, i, j, k)
+                except LemmaViolation as e:
+                    got = str(e)
+                    kinds.add(next(w for w in ("several", "outside", "equals") if w in got))
+                assert got == brute_lemma1(points, i, j, k), (cfg, i, j, k)
+        assert kinds == {"several", "outside", "equals"}
 
 
 class TestCriticality:

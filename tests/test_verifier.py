@@ -2,8 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopespectra import (
     AffineMap,
@@ -29,6 +32,9 @@ from slopespectra import (
     perturb,
     points_equal,
     random_affine_map,
+    random_convex_position,
+    random_general_position,
+    random_noncollinear,
     reconstruct_missing_vertex,
     regular_polygon,
     segments_parallel,
@@ -130,6 +136,41 @@ class TestCertificates:
         monkeypatch.setattr(Configuration, "__post_init__", recorded)
         assert isinstance(verify_theorem(cfg), Certificate)
         assert all(size <= 6 for size in sizes), sizes
+
+
+# the smallest bound at which each generator finds n <= 12 points at once
+_GENERATORS = {random_convex_position: 3, random_general_position: 3, random_noncollinear: 2}
+
+
+class TestExactInputNeverPassesSlopeCount:
+    """A consequence of the theorem: on exact input with n >= 7 the verdict
+    stops at Size, GeneralPosition, ConvexPosition or SlopeCount.  n + 1
+    slopes would make the input an affine image of a regular (n+1)-gon minus
+    a vertex, which Niven's theorem rules out over the rationals; a later
+    stage on exact input would mean a spectrum bug."""
+
+    EARLY = {Stage.SIZE, Stage.GENERAL_POSITION, Stage.CONVEX_POSITION, Stage.SLOPE_COUNT}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_generated(self, data):
+        gen = data.draw(st.sampled_from(list(_GENERATORS)))
+        bounds = [b for b in (1, 2, 3, 5, 60, 1000) if b >= _GENERATORS[gen]]
+        bound = data.draw(st.sampled_from(bounds))
+        cfg = gen(data.draw(st.integers(7, 12)), data.draw(st.integers(0, 10**6)), bound=bound)
+        assert verify_theorem(cfg).stage in self.EARLY
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(8, 40), st.integers(0, 39), st.integers(1, 6))
+    def test_rounded_polygons(self, m, deleted, digits):
+        # the m-gon minus a vertex, rounded to denominators up to 10^digits:
+        # the nearest rational inputs to a float instance
+        def rounded(x):
+            return Fraction(x).limit_denominator(10**digits)
+
+        pts = gon_minus(m, deleted % m).points
+        cfg = Configuration.from_coords([(rounded(p.x), rounded(p.y)) for p in pts], EXACT)
+        assert verify_theorem(cfg).stage in self.EARLY
 
 
 class TestRefutations:
