@@ -6,14 +6,16 @@ one O(n^2) pass on either backend (hashed integer directions when exact,
 merged sorted pair angles when float), computed once per configuration and
 shared with the general-position test and the criticality class.
 
-Forbidden slopes are read from each class's vertex set, so the whole table
-takes time proportional to its size plus the number of pairs.  The chord
-dichotomy reads the one class of its chord from the same table.
+Forbidden slopes are the classes whose pairs miss a point: one Python step
+per pair marks a mask per point, and `itertools.compress` lists the rest,
+so no bytecode runs per table entry.  The chord dichotomy reads the one
+class of its chord from the same table.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 
 from ._frozen import Frozen, set_field
 from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
@@ -65,9 +67,12 @@ def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) 
 def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> tuple[tuple[int, ...], ...]:
     """Per point index, the indices into `spectrum.classes` of the classes
     that no segment at that point realizes: its forbidden slopes."""
-    vertex_sets = [_vertices(cls) for cls in spectrum.classes]
-    return tuple(tuple(k for k, vs in enumerate(vertex_sets) if i not in vs)
-                 for i in range(len(config)))
+    count = len(spectrum.classes)
+    masks = [bytearray(b"\1") * count for _ in range(len(config))]
+    for k, cls in enumerate(spectrum.classes):
+        for a, b in cls.pairs:  # class k is realized at points a and b
+            masks[a][k] = masks[b][k] = 0
+    return tuple(tuple(compress(range(count), mask)) for mask in masks)
 
 
 class Forbidden(Frozen):

@@ -133,12 +133,23 @@ def shared_leaf(draw):
             "value": draw(JSON_VALUES)}
 
 
+LEAF = {"dx": 1, "dy": -2}
+
+
 class TestEncoder:
     """`report._dumps` is `json.dumps(sort_keys=True)` byte for byte."""
 
     @given(st.one_of(JSON_VALUES, shared_leaf()))
     @example([(), {}, [], (1, "\u00e9\x00\u2028\U0001f600"), -0.0, 1e-9, 1e300,
               math.nan, math.inf, -math.inf, 10**35, -(10**31)])
+    # a list that starts with a scalar-leaf container (the spliced branch)
+    # and goes on with a scalar, with a container of containers, or with an
+    # empty container, each after a leaf already seen
+    @example({"a": [LEAF], "b": [LEAF, 3, "x", None, LEAF]})
+    @example({"a": [LEAF], "b": [LEAF, [[1], LEAF], {"k": [LEAF]}, LEAF]})
+    @example({"a": [LEAF], "b": [LEAF, [], {}, (), LEAF]})
+    # one leaf under lists at three depths
+    @example([LEAF, [LEAF, [LEAF, LEAF]], LEAF])
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
         assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
@@ -146,5 +157,15 @@ class TestEncoder:
                                                      separators=(",", ":"))
 
     def test_refuses_what_json_refuses(self):
-        with pytest.raises(TypeError):
-            rep._dumps({"x": Fraction(1, 2)}, 2)
+        refused = [
+            {"x": Fraction(1, 2)},
+            [1, {"x": [Fraction(1, 2)]}],          # in a list json's C encoder writes whole
+            [LEAF, LEAF, [2, Fraction(1, 2)]],     # in a list spliced from leaf texts
+            {"a": [LEAF], "b": [LEAF, Fraction(1, 2)]},
+        ]
+        for value in refused:
+            for indent in (2, None):
+                with pytest.raises(TypeError):
+                    json.dumps(value, sort_keys=True, indent=indent)
+                with pytest.raises(TypeError, match="^Object of type Fraction is not JSON"):
+                    rep._dumps(value, indent)

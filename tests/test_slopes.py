@@ -121,19 +121,29 @@ class TestForbiddenSlopes:
         assert [(d.dx, d.dy) for d in dirs] == [(1, 4), (1, 5)]
 
     def test_table_counts_complement(self):
-        cfg = parabola_config([0, 1, 2, 4, 7])
-        spec = slope_spectrum(cfg)
-        table = forbidden_slope_table(cfg, spec)
-        assert len(table) == len(cfg)
-        for i, ks in enumerate(table):
-            dirs = [spec.classes[k].direction for k in ks]
-            realized = {
-                ci for ci, cls in enumerate(spec.classes)
-                if any(i in p for p in cls.pairs)
-            }
-            assert len(realized) + len(dirs) == spec.count
-            assert realized.isdisjoint(ks)
-            assert dirs == forbidden_slopes_at(cfg, spec, i)
+        several_at_one_point = 0
+        configs = [parabola_config([0, 1, 2, 4, 7])]
+        # classes holding several pairs at one point (collinear triples)
+        configs += [random_noncollinear(8, s, bound=3) for s in range(10)]
+        configs += [delete_vertices(regular_polygon(m), [0]) for m in (8, 12, 17)]
+        configs.append(perturb(delete_vertices(regular_polygon(12), [1]), 1e-11, 12))
+        for cfg in configs:
+            spec = slope_spectrum(cfg)
+            table = forbidden_slope_table(cfg, spec)
+            assert len(table) == len(cfg)
+            for i, ks in enumerate(table):
+                dirs = [spec.classes[k].direction for k in ks]
+                realized = {
+                    ci for ci, cls in enumerate(spec.classes)
+                    if any(i in p for p in cls.pairs)
+                }
+                several_at_one_point += sum(
+                    sum(i in p for p in cls.pairs) > 1 for cls in spec.classes)
+                assert len(realized) + len(dirs) == spec.count
+                assert realized.isdisjoint(ks)
+                assert list(ks) == sorted(ks)
+                assert dirs == forbidden_slopes_at(cfg, spec, i)
+        assert several_at_one_point > 0
 
 
 class TestLemma1Dichotomy:
