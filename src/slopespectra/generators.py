@@ -19,6 +19,7 @@ Random rational coordinates use bounded numerators and denominators
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
@@ -196,11 +197,19 @@ def random_noncollinear(n: int, seed: int, bound: int = 1000) -> Configuration:
     """n distinct random rational points, not all on one line.
 
     Collinear triples are allowed (unlike random_general_position), which
-    exercises bounds that only assume the set is not fully collinear.
+    exercises bounds that only assume the set is not fully collinear.  A
+    coordinate takes V(b) = 1 + 2 #{1 <= p, q <= b : gcd(p, q) = 1} values
+    at bound b, and n > V(b)^2 raises GenerationExhausted before any draw.
     """
     if n < 3:
         raise TooFewRemaining(f"need n >= 3, got {n}")
     _require_bound(bound)
+    if n > (2 * bound + 1) ** 2:  # V(b) >= 2b + 1, from the integers -b..b
+        side = range(1, bound + 1)
+        values = 1 + 2 * sum(gcd(p, q) == 1 for p in side for q in side)
+        if n > values ** 2:
+            raise GenerationExhausted(f"bound {bound} gives {values} coordinate values, so at "
+                                      f"most {values ** 2} distinct points; need {n}")
     rng = SplitMix64(seed)
     tries = 0
     while True:

@@ -6,23 +6,23 @@ the canonical JSON with the timing field removed, so re-running the same
 command on the same inputs reproduces the digest even though timing varies.
 
 Both JSON forms are byte for byte what `json.dumps(sort_keys=True)` writes,
-and json's C encoder writes most of them.  `analyze` lists each spectrum
-class's direction dict once per point that forbids it; the text of such a
-scalar-leaf container is kept by id and a row of them is spliced in by
-reference, so the O(n^3)-entry forbidden table runs no Python per entry.
+and json's C encoder writes most of them.  A row of the `analyze` forbidden
+table is a `Without` view over one list of class direction dicts; each
+encoder writes their texts once and `itertools.compress` puts a row's texts
+in by reference, so the O(n^3)-entry table runs Python per row and hole.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .conics import Conic
 from .geometry import Direction, Point
 from .pointfile import format_scalar
-from .slopes import CriticalityReport, SlopeSpectrum
+from .slopes import CriticalityReport, SlopeSpectrum, Without
 from .verifier import Certificate, ProofCase, Refutation
 
 TIMING_KEY = "timing_ms"
@@ -93,17 +93,18 @@ def case_json(case: ProofCase):
     }
 
 
-def analyze_json(spec: SlopeSpectrum, forbidden: tuple[tuple[int, ...], ...],
+def analyze_json(spec: SlopeSpectrum, forbidden: tuple[Without, ...],
                  crit: CriticalityReport):
-    """The `analyze` payload.  A forbidden entry is its class's direction
-    dict itself, so each JSON encoder writes that dict's text once."""
+    """The `analyze` payload.  Each forbidden row is a `Without` over the
+    one list of class direction dicts, so each JSON encoder writes a dict's
+    text once."""
     spectrum = spectrum_json(spec)
     directions = [cls["direction"] for cls in spectrum["classes"]]
     return {
         "n": crit.n,
         "spectrum": spectrum,
-        "forbidden": {str(i): list(map(directions.__getitem__, ks))
-                      for i, ks in enumerate(forbidden)},
+        "forbidden": {str(i): Without(directions, row.holes)
+                      for i, row in enumerate(forbidden)},
         "criticality": crit.verdict.value,
         "general_position": crit.general_position,
     }
@@ -160,53 +161,43 @@ def _key_text(k) -> str:
 def _is_leaf(v) -> bool:
     """Whether v is a scalar-leaf container: a dict or list of scalars."""
     items = v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else None
-    return items is not None and not any(map(isinstance, items, repeat(_CONTAINERS)))
+    return items is not None and not any(map(isinstance, items, repeat((*_CONTAINERS, Without))))
 
 
-def _splice(values, sep: str, memo: dict, out: list[str], miss) -> None:
-    """Append to `out` the texts of `values`, `sep` between them.  A text
-    found in `memo` (by id) goes in by reference, without a copy; `miss`
-    appends the text of every other value."""
-    texts = list(map(memo.get, map(id, values)))
-    inter = [sep] * (2 * len(texts) - 1)
-    inter[::2] = texts
-    done, k = 0, -1
-    for _ in range(texts.count(None)):
-        k = texts.index(None, k + 1)
-        out.extend(inter[done:2 * k])
-        miss(values[k])
-        done = 2 * k + 1
-    out.extend(inter[done:])
+def _put_row(row: Without, inters: dict, key, text, seps: tuple, out: list[str]) -> None:
+    """Append the pieces of the list `row`; `seps` is (head, separator, tail).
+    `inters[key]` keeps its base's item texts, by `text`, each before a separator."""
+    head, sep, tail = seps
+    inter = inters.get(key)
+    if inter is None:
+        inter = inters[key] = [sep] * (2 * len(row.base))
+        inter[::2] = map(text, row.base)
+    out.append(head)
+    out.extend(compress(inter, row.mask(2)))
+    out[-1] = tail if len(row) else "[]"
 
 
 def _compact(item_sep: str = ",", key_sep: str = ":"):
     """`encode(obj, out)`: append to `out` the pieces of `json.dumps(obj,
     sort_keys=True, separators=(item_sep, key_sep))`; tuples are lists.
-    json's C encoder writes each scalar-leaf container, kept by id for the
-    life of `encode`, and whole each list that does not start with one; a
-    list of leaves (a forbidden-table row) is spliced from the kept texts."""
+    Dicts are walked in Python and json's C encoder writes every other value
+    whole.  A `Without` dict value (`row_ok`) is a row of its base's item
+    texts, kept per base for the life of `encode`."""
     c_encode = _c_encoder(item_sep, key_sep)
-    memo: dict[int, str] = {}
+    seps, inters = ("[", item_sep, "]"), {}
 
-    def encode(o, out: list[str]) -> None:
-        if _is_leaf(o):
-            text = memo.get(id(o))
-            if text is None:
-                text = memo[id(o)] = "".join(c_encode(o, 0))
-            out.append(text)
-        elif isinstance(o, dict):
+    def encode(o, out: list[str], row_ok: bool = False) -> None:
+        if row_ok and isinstance(o, Without):
+            _put_row(o, inters, id(o.base), lambda v: "".join(c_encode(v, 0)), seps, out)
+        elif not isinstance(o, dict) or not o:
+            out.extend(c_encode(o, 0))
+        else:
             sep = "{"
             for k in sorted(o):
                 out.append(sep + _key_text(k) + key_sep)
-                encode(o[k], out)
+                encode(o[k], out, True)
                 sep = item_sep
             out.append("}")
-        elif isinstance(o, (list, tuple)) and (id(o[0]) in memo or _is_leaf(o[0])):
-            out.append("[")
-            _splice(o, item_sep, memo, out, lambda v: encode(v, out))
-            out.append("]")
-        else:
-            out.extend(c_encode(o, 0))
 
     return encode
 
@@ -214,44 +205,54 @@ def _compact(item_sep: str = ",", key_sep: str = ":"):
 def _indented(obj, indent: int) -> list[str]:
     """The pieces of `json.dumps(obj, sort_keys=True, indent=indent)`; tuples
     are lists.  json's C encoder writes each scalar-leaf container with the
-    separators of its depth; its text is kept by (id, depth) for the length
-    of the call, and a list splices the kept texts in by reference."""
-    # levels[d]: the line break before an item at depth d, the C encoder for
-    # items at depth d, and id -> text of each leaf container at depth d
+    separators of its depth; other lists go item by item, and a `Without` dict
+    value is a row of its base's item texts, kept per base and depth."""
+    # levels[d]: the line break before an item at depth d and the C encoder
+    # for items at depth d
     levels: list[tuple] = []
-    out: list[str] = []
+    inters: dict[tuple[int, int], list[str]] = {}
 
-    def encode(o, depth: int) -> None:
-        while len(levels) <= depth + 1:
+    def row(r: Without, depth: int, out: list[str], _) -> None:
+        inner = levels[depth + 1][0]
+        _put_row(r, inters, (id(r.base), depth),
+                 lambda v: "".join(encode(v, depth + 1, [], False)),
+                 ("[" + inner, "," + inner, levels[depth][0] + "]"), out)
+
+    def encode(o, depth: int, out: list[str], rows: bool = True) -> list[str]:
+        # rows: no list holds o, so a dict value may be a `Without` row
+        while len(levels) <= depth + 2:
             brk = "\n" + " " * (indent * len(levels))
-            levels.append((brk, _c_encoder("," + brk, ": "), {}))
-        (outer, _, known), (inner, c_encode, _) = levels[depth], levels[depth + 1]
+            levels.append((brk, _c_encoder("," + brk, ": ")))
+        (outer, _), (inner, c_encode) = levels[depth], levels[depth + 1]
         if not isinstance(o, _CONTAINERS) or not o:
             out.append("".join(c_encode(o, 0)))  # the same text at any depth
         elif _is_leaf(o):
             text = "".join(c_encode(o, 0))
-            text = known[id(o)] = text[0] + inner + text[1:-1] + outer + text[-1]
-            out.append(text)
+            out.append(text[0] + inner + text[1:-1] + outer + text[-1])
         elif isinstance(o, dict):
             head = "{" + inner
             for k in sorted(o):
                 out.append(head + _key_text(k) + ": ")
-                encode(o[k], depth + 1)
+                (row if rows and isinstance(o[k], Without) else encode)(o[k], depth + 1, out, rows)
                 head = "," + inner
             out.append(outer + "}")
         else:
-            out.append("[" + inner)
-            _splice(o, "," + inner, levels[depth + 1][2], out, lambda v: encode(v, depth + 1))
+            head = "[" + inner
+            for item in o:
+                out.append(head)
+                encode(item, depth + 1, out, False)
+                head = "," + inner
             out.append(outer + "]")
+        return out
 
-    encode(obj, 0)
-    return out
+    return encode(obj, 0, [])
 
 
 def _dumps(obj, indent: int | None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=indent)`, byte for byte, or
-    with `separators=(",", ":")` when indent is None; tuples are lists.
-    The pieces of the text go into one list, joined once at the end."""
+    with `separators=(",", ":")` when indent is None; tuples are lists, and a
+    `Without` dict value under no list is the list of its items (json's
+    TypeError elsewhere).  The pieces go into one list, joined once."""
     if indent is not None:
         return "".join(_indented(obj, indent))
     out: list[str] = []
@@ -263,17 +264,17 @@ def _flatten(prefix: str, value, out: list[str], encode) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out, encode)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, Without)):
         out.append(prefix + ": ")
-        encode(value, out)
+        encode(value, out, True)
         out.append("\n")
     else:
         out.append(f"{prefix}: {value}\n")
 
 
 def to_text(report: dict) -> str:
-    """One `key: value` line per scalar, a list as `json.dumps(value,
-    sort_keys=True)`; the lists share one leaf memo."""
+    """One `key: value` line per scalar, a list or `Without` row as
+    `json.dumps(value, sort_keys=True)`; rows share their base's item texts."""
     ordered = ["command", "backend", "eps", "input_sha256", "payload",
                DIGEST_KEY, TIMING_KEY]
     encode = _compact(", ", ": ")

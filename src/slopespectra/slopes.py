@@ -6,10 +6,10 @@ one O(n^2) pass on either backend (hashed integer directions when exact,
 merged sorted pair angles when float), computed once per configuration and
 shared with the general-position test and the criticality class.
 
-Forbidden slopes are the classes whose pairs miss a point: one Python step
-per pair marks a mask per point, and `itertools.compress` lists the rest,
-so no bytecode runs per table entry.  The chord dichotomy reads the one
-class of its chord from the same table.
+Forbidden slopes are the classes whose pairs miss a point.  A point's row
+is a `Without` view, every class but the at most n - 1 that its pairs meet,
+so the table is O(n^2) objects though it lists O(n^3) entries.  The chord
+dichotomy reads the one class of its chord from the class table.
 """
 
 from __future__ import annotations
@@ -51,9 +51,40 @@ def slope_spectrum(config: Configuration) -> SlopeSpectrum:
     return SlopeSpectrum(tuple(SlopeClass(d, pairs) for d, pairs in config.direction_classes))
 
 
-def _vertices(cls: SlopeClass) -> set[int]:
-    """The point indices that some segment of the class touches."""
-    return {v for pair in cls.pairs for v in pair}
+class Without(Frozen):
+    """The items of `base` except those at the ascending indices `holes`:
+    iterated, measured and `in`-tested like the tuple it stands for."""
+
+    base: tuple | list | range
+    holes: tuple[int, ...]
+
+    def mask(self, width: int = 1) -> bytearray:
+        """`width` ones per item of `base`, zeros at the holes."""
+        mask, zero = bytearray(b"\1") * (width * len(self.base)), bytes(width)
+        for h in self.holes:
+            mask[width * h:width * h + width] = zero
+        return mask
+
+    def __iter__(self):
+        return compress(self.base, self.mask())
+
+    def __len__(self) -> int:
+        return len(self.base) - len(self.holes)
+
+    def __contains__(self, v) -> bool:
+        return v in self.base and self.base.index(v) not in self.holes
+
+
+def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> tuple[Without, ...]:
+    """Per point index, the indices into `spectrum.classes` of the classes
+    that no segment at that point realizes: its forbidden slopes."""
+    met: list[list[int]] = [[] for _ in range(len(config))]
+    for k, cls in enumerate(spectrum.classes):
+        for a, b in cls.pairs:  # class k is realized at points a and b
+            met[a].append(k)
+            met[b].append(k)
+    base = range(len(spectrum.classes))
+    return tuple(Without(base, tuple(dict.fromkeys(ks))) for ks in met)  # one hole per class
 
 
 def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) -> list[Direction]:
@@ -61,18 +92,7 @@ def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) 
     point i: those no segment incident to point i realizes."""
     if not 0 <= i < len(config):
         raise IndexOutOfRange(f"point index {i} out of range")
-    return [cls.direction for cls in spectrum.classes if i not in _vertices(cls)]
-
-
-def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> tuple[tuple[int, ...], ...]:
-    """Per point index, the indices into `spectrum.classes` of the classes
-    that no segment at that point realizes: its forbidden slopes."""
-    count = len(spectrum.classes)
-    masks = [bytearray(b"\1") * count for _ in range(len(config))]
-    for k, cls in enumerate(spectrum.classes):
-        for a, b in cls.pairs:  # class k is realized at points a and b
-            masks[a][k] = masks[b][k] = 0
-    return tuple(tuple(compress(range(count), mask)) for mask in masks)
+    return [spectrum.classes[k].direction for k in forbidden_slope_table(config, spectrum)[i]]
 
 
 class Forbidden(Frozen):

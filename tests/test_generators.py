@@ -331,6 +331,20 @@ class TestRejectionLoops:
         with pytest.raises(GenerationExhausted):
             random_general_position(7, 1, bound=1)
 
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_noncollinear_beyond_capacity(self, monkeypatch, bound):
+        # bound 1 allows the values -1, 0 and 1, so at most 9 distinct
+        # points: one more is refused before any draw
+        values = len({Fraction(p, q) for p in range(-bound, bound + 1)
+                      for q in range(1, bound + 1)})
+        draws = []
+        real = SplitMix64.next_u64
+        monkeypatch.setattr(SplitMix64, "next_u64", lambda rng: draws.append(1) or real(rng))
+        with pytest.raises(GenerationExhausted,
+                           match=f"gives {values} coordinate values, so at most {values ** 2} "):
+            random_noncollinear(values ** 2 + 1, 1, bound)
+        assert draws == []
+
 
 class TestGeneratorSpec:
     def test_pipeline(self):

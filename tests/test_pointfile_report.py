@@ -12,6 +12,7 @@ from slopespectra import EXACT, parse_point_text, serialize_points, points_equal
 from slopespectra.errors import BackendMismatch, ParseError
 from slopespectra.generators import GeneratorSpec, regular_polygon
 from slopespectra import report as rep
+from slopespectra.slopes import Without
 
 
 class TestParsing:
@@ -168,4 +169,58 @@ class TestEncoder:
                 with pytest.raises(TypeError):
                     json.dumps(value, sort_keys=True, indent=indent)
                 with pytest.raises(TypeError, match="^Object of type Fraction is not JSON"):
+                    rep._dumps(value, indent)
+
+
+def plain(value):
+    """The value with each `Without` row replaced by the list of its items."""
+    if isinstance(value, Without):
+        return list(value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+@st.composite
+def rows_in_dicts(draw):
+    """`Without` rows over one base as dict values at two depths, beside
+    arbitrary values."""
+    base = draw(st.lists(st.one_of(JSON_VALUES, st.just(LEAF)), max_size=6))
+    holes = st.sets(st.integers(0, len(base) - 1)) if base else st.just(set())
+    row = holes.map(lambda hs: Without(base, tuple(sorted(hs))))
+    return {"a": draw(row), "b": {"c": draw(row), "d": draw(JSON_VALUES)},
+            "e": draw(JSON_VALUES), "f": draw(row)}
+
+
+NON_LEAVES = [[1, [2]], {"k": [LEAF]}, [], "s", LEAF]
+
+
+class TestWithoutRows:
+    """A `Without` dict value is written as the list of its items."""
+
+    @given(rows_in_dicts())
+    @example({"none": Without([LEAF, 2, "x"], ()),
+              "all": Without([LEAF, 2, "x"], (0, 1, 2)),
+              "empty": Without([], ())})
+    @example({"adjacent": Without(list(range(6)), (2, 3, 4)),
+              "ends": Without(list(range(6)), (0, 5))})
+    # a base of non-leaf items, shared by rows at two depths
+    @example({"a": Without(NON_LEAVES, (1,)),
+              "b": {"c": Without(NON_LEAVES, (0, 4)), "d": {"e": Without(NON_LEAVES, ())}}})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps_of_lists(self, value):
+        lists = plain(value)
+        assert rep._dumps(value, 2) == json.dumps(lists, sort_keys=True, indent=2)
+        assert rep._dumps(value, None) == json.dumps(lists, sort_keys=True,
+                                                     separators=(",", ":"))
+        assert rep.to_text({"payload": value}) == rep.to_text({"payload": lists})
+
+    def test_refused_outside_a_dict(self):
+        row = Without([LEAF, 2], (1,))
+        for value in ([row], {"a": [1, row]}, {"a": [{"b": row}]}, row,
+                      {"a": Without([row], ())}):
+            for indent in (2, None):
+                with pytest.raises(TypeError, match="^Object of type Without is not JSON"):
                     rep._dumps(value, indent)

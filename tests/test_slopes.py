@@ -145,6 +145,32 @@ class TestForbiddenSlopes:
                 assert dirs == forbidden_slopes_at(cfg, spec, i)
         assert several_at_one_point > 0
 
+    @pytest.mark.parametrize("make", [
+        lambda: parabola_config([0, 1, 2, 4, 7]),
+        lambda: random_convex_position(9, 2),
+        lambda: delete_vertices(regular_polygon(12), [1]),
+        lambda: perturb(delete_vertices(regular_polygon(12), [1]), 1e-11, 12),
+        *(lambda s=s: random_noncollinear(8, s, bound=3) for s in range(4)),
+    ])
+    def test_rows_are_the_complement(self, make):
+        # a row iterates, measures and in-tests as the classes with no pair
+        # at its point; a class met twice at a point is one hole
+        cfg = make()
+        spec = slope_spectrum(cfg)
+        for i, row in enumerate(forbidden_slope_table(cfg, spec)):
+            want = [k for k, cls in enumerate(spec.classes) if not any(i in p for p in cls.pairs)]
+            assert list(row) == want
+            assert len(row) == len(want)
+            assert [k for k in range(-1, spec.count + 1) if k in row] == want
+
+    def test_table_is_quadratic(self):
+        # a row holds only the classes met at its point: at most n - 1 each
+        n = 40
+        cfg = random_general_position(n, 5)
+        table = forbidden_slope_table(cfg, slope_spectrum(cfg))
+        assert sum(len(row.holes) for row in table) <= n * (n - 1)
+        assert sum(map(len, table)) == n * (n - 1) * (n - 2) // 2
+
 
 class TestLemma1Dichotomy:
     def test_parabola_parallel_witness(self):

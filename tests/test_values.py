@@ -30,6 +30,7 @@ from slopespectra import (
     classify_proof_case,
     delete_vertices,
     float_backend,
+    forbidden_slope_table,
     is_affinely_regular,
     random_affine_map,
     regular_polygon,
@@ -50,7 +51,7 @@ def samples() -> list:
     return [
         EXACT, float_backend(), polygon, cls.direction,
         Point(Fraction(1, 2), Fraction(3)), cls, spectrum,
-        Forbidden(), ParallelWitness(3),
+        Forbidden(), ParallelWitness(3), forbidden_slope_table(polygon, spectrum)[0],
         classify_criticality(polygon), cert, cert.conic, cert.base_point,
         ConicGroup(cert.conic, cert.base_point), Applicable(True), NotApplicable("P1P6 || P2P5"),
         random_affine_map(7), is_affinely_regular(polygon), GeneratorSpec(polygon=8, delete=(0,)),
