@@ -5,11 +5,14 @@ or as a flat "key: value" text block.  The report digest is computed over
 the canonical JSON with the timing field removed, so re-running the same
 command on the same inputs reproduces the digest even though timing varies.
 
-Both JSON forms are byte for byte what `json.dumps(sort_keys=True)` writes,
-and json's C encoder writes most of them.  A row of the `analyze` forbidden
-table is a `Without` view over one list of class direction dicts; each
-encoder writes their texts once and `itertools.compress` puts a row's texts
-in by reference, so the O(n^3)-entry table runs Python per row and hole.
+One walker, `_encoder`, writes both JSON forms and the text form's lists,
+byte for byte what `json.dumps(sort_keys=True)` writes with their
+separators.  json's C encoder writes whole each value that holds no
+container; Python walks the dicts that hold one and, when indented, the
+lists that hold one.  A row of the `analyze` forbidden table is a `Without`
+view over one list of class direction dicts; the walker writes their texts
+once and `itertools.compress` puts a row's texts in by reference, so the
+O(n^3)-entry table runs Python per row and hole.
 """
 
 from __future__ import annotations
@@ -130,12 +133,13 @@ def build_report(command: str, backend_kind: str, eps: float,
 
 
 def to_json(report: dict) -> str:
-    out = _indented(report, 2)
+    out = _encoder(2)(report, [])
     out.append("\n")
     return "".join(out)
 
 
 _CONTAINERS = (dict, list, tuple)
+_NESTED = (*_CONTAINERS, Without)
 
 
 def _refuse(v):
@@ -158,94 +162,58 @@ def _key_text(k) -> str:
     return encode_basestring_ascii(k if isinstance(k, str) else "".join(_C_ENCODE(k, 0)))
 
 
-def _is_leaf(v) -> bool:
-    """Whether v is a scalar-leaf container: a dict or list of scalars."""
-    items = v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else None
-    return items is not None and not any(map(isinstance, items, repeat((*_CONTAINERS, Without))))
-
-
-def _put_row(row: Without, inters: dict, key, text, seps: tuple, out: list[str]) -> None:
-    """Append the pieces of the list `row`; `seps` is (head, separator, tail).
-    `inters[key]` keeps its base's item texts, by `text`, each before a separator."""
-    head, sep, tail = seps
-    inter = inters.get(key)
-    if inter is None:
-        inter = inters[key] = [sep] * (2 * len(row.base))
-        inter[::2] = map(text, row.base)
-    out.append(head)
-    out.extend(compress(inter, row.mask(2)))
-    out[-1] = tail if len(row) else "[]"
-
-
-def _compact(item_sep: str = ",", key_sep: str = ":"):
-    """`encode(obj, out)`: append to `out` the pieces of `json.dumps(obj,
-    sort_keys=True, separators=(item_sep, key_sep))`; tuples are lists.
-    Dicts are walked in Python and json's C encoder writes every other value
-    whole.  A `Without` dict value (`row_ok`) is a row of its base's item
-    texts, kept per base for the life of `encode`."""
-    c_encode = _c_encoder(item_sep, key_sep)
-    seps, inters = ("[", item_sep, "]"), {}
-
-    def encode(o, out: list[str], row_ok: bool = False) -> None:
-        if row_ok and isinstance(o, Without):
-            _put_row(o, inters, id(o.base), lambda v: "".join(c_encode(v, 0)), seps, out)
-        elif not isinstance(o, dict) or not o:
-            out.extend(c_encode(o, 0))
-        else:
-            sep = "{"
-            for k in sorted(o):
-                out.append(sep + _key_text(k) + key_sep)
-                encode(o[k], out, True)
-                sep = item_sep
-            out.append("}")
-
-    return encode
-
-
-def _indented(obj, indent: int) -> list[str]:
-    """The pieces of `json.dumps(obj, sort_keys=True, indent=indent)`; tuples
-    are lists.  json's C encoder writes each scalar-leaf container with the
-    separators of its depth; other lists go item by item, and a `Without` dict
-    value is a row of its base's item texts, kept per base and depth."""
+def _encoder(indent: int | None = None, item_sep: str = ",", key_sep: str = ": "):
+    """`encode(obj, out, row_ok=False, depth=0)`: append to `out` the pieces of
+    `json.dumps(obj, sort_keys=True, indent=indent, separators=(item_sep,
+    key_sep))` for obj at `depth`, and return `out`; tuples are lists.
+    json's C encoder writes whole each value that holds no container, and an
+    indented non-empty container gets its brackets re-broken for its depth.
+    Python walks a dict that holds a container, and a list that holds one only
+    when indented.  A `Without` dict value under no list (`row_ok`) is a row
+    of its base's item texts, made once per base and depth."""
     # levels[d]: the line break before an item at depth d and the C encoder
-    # for items at depth d
+    # for items at depth d; unindented, every break is ""
     levels: list[tuple] = []
-    inters: dict[tuple[int, int], list[str]] = {}
+    rows: dict[tuple[int, int], list[str]] = {}
+    indented = indent is not None
 
-    def row(r: Without, depth: int, out: list[str], _) -> None:
-        inner = levels[depth + 1][0]
-        _put_row(r, inters, (id(r.base), depth),
-                 lambda v: "".join(encode(v, depth + 1, [], False)),
-                 ("[" + inner, "," + inner, levels[depth][0] + "]"), out)
-
-    def encode(o, depth: int, out: list[str], rows: bool = True) -> list[str]:
-        # rows: no list holds o, so a dict value may be a `Without` row
-        while len(levels) <= depth + 2:
-            brk = "\n" + " " * (indent * len(levels))
-            levels.append((brk, _c_encoder("," + brk, ": ")))
-        (outer, _), (inner, c_encode) = levels[depth], levels[depth + 1]
-        if not isinstance(o, _CONTAINERS) or not o:
-            out.append("".join(c_encode(o, 0)))  # the same text at any depth
-        elif _is_leaf(o):
-            text = "".join(c_encode(o, 0))
-            out.append(text[0] + inner + text[1:-1] + outer + text[-1])
-        elif isinstance(o, dict):
+    def encode(o, out: list[str], row_ok: bool = False, depth: int = 0) -> list[str]:
+        while len(levels) <= depth + 1:
+            brk = "\n" + " " * (indent * len(levels)) if indented else ""
+            levels.append((brk, _c_encoder(item_sep + brk, key_sep)))
+        outer, (inner, c_encode) = levels[depth][0], levels[depth + 1]
+        if row_ok and isinstance(o, Without):
+            texts = rows.get((id(o.base), depth))
+            if texts is None:  # each item's text, then a separator
+                items = (encode(v, [], False, depth + 1) for v in o.base) if indented else \
+                    map(c_encode, o.base, repeat(0))  # a list item: C writes it whole
+                texts = rows[id(o.base), depth] = [item_sep + inner] * (2 * len(o.base))
+                texts[::2] = map("".join, items)
+            out.append("[" + inner)
+            out.extend(compress(texts, o.mask(2)))
+            out[-1] = outer + "]" if len(o) else "[]"
+        elif isinstance(o, dict) and any(map(isinstance, o.values(), repeat(_NESTED))):
             head = "{" + inner
             for k in sorted(o):
-                out.append(head + _key_text(k) + ": ")
-                (row if rows and isinstance(o[k], Without) else encode)(o[k], depth + 1, out, rows)
-                head = "," + inner
+                out.append(head + _key_text(k) + key_sep)
+                encode(o[k], out, row_ok or not depth, depth + 1)  # rows if no list holds o
+                head = item_sep + inner
             out.append(outer + "}")
-        else:
+        elif indented and isinstance(o, (list, tuple)) and any(map(isinstance, o, repeat(_NESTED))):
             head = "[" + inner
             for item in o:
                 out.append(head)
-                encode(item, depth + 1, out, False)
-                head = "," + inner
+                encode(item, out, False, depth + 1)
+                head = item_sep + inner
             out.append(outer + "]")
+        else:
+            text = "".join(c_encode(o, 0))
+            if indented and isinstance(o, _CONTAINERS) and o:
+                text = text[0] + inner + text[1:-1] + outer + text[-1]
+            out.append(text)
         return out
 
-    return encode(obj, 0, [])
+    return encode
 
 
 def _dumps(obj, indent: int | None) -> str:
@@ -253,11 +221,7 @@ def _dumps(obj, indent: int | None) -> str:
     with `separators=(",", ":")` when indent is None; tuples are lists, and a
     `Without` dict value under no list is the list of its items (json's
     TypeError elsewhere).  The pieces go into one list, joined once."""
-    if indent is not None:
-        return "".join(_indented(obj, indent))
-    out: list[str] = []
-    _compact()(obj, out)
-    return "".join(out)
+    return "".join(_encoder(indent, key_sep=":" if indent is None else ": ")(obj, []))
 
 
 def _flatten(prefix: str, value, out: list[str], encode) -> None:
@@ -269,15 +233,18 @@ def _flatten(prefix: str, value, out: list[str], encode) -> None:
         encode(value, out, True)
         out.append("\n")
     else:
+        if isinstance(value, str) and "".join(value.splitlines()) != value:
+            value = encode_basestring_ascii(value)  # a line break would end the line
         out.append(f"{prefix}: {value}\n")
 
 
 def to_text(report: dict) -> str:
     """One `key: value` line per scalar, a list or `Without` row as
-    `json.dumps(value, sort_keys=True)`; rows share their base's item texts."""
+    `json.dumps(value, sort_keys=True)`; a string holding a line break is
+    written as its `json.dumps` text too."""
     ordered = ["command", "backend", "eps", "input_sha256", "payload",
                DIGEST_KEY, TIMING_KEY]
-    encode = _compact(", ", ": ")
+    encode = _encoder(item_sep=", ")
     out: list[str] = []
     for key in ordered:
         if key in report:

@@ -194,6 +194,16 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert "payload.verdict.error: FileNotFoundError" in out
 
+    def test_text_file_name_with_line_break(self, instance_file, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("x\ny.txt").write_bytes(Path(instance_file).read_bytes())
+        code, out, _ = run(capsys, "verify", "x\ny.txt")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert 'payload.file: "x\\ny.txt"' in lines
+        assert all(": " in line for line in lines)  # one key: value line per scalar
+
 
 class TestFloatNumbering:
     """Float verdicts do not depend on the order of the file's lines: a point

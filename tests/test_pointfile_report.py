@@ -143,9 +143,9 @@ class TestEncoder:
     @given(st.one_of(JSON_VALUES, shared_leaf()))
     @example([(), {}, [], (1, "\u00e9\x00\u2028\U0001f600"), -0.0, 1e-9, 1e300,
               math.nan, math.inf, -math.inf, 10**35, -(10**31)])
-    # a list that starts with a scalar-leaf container (the spliced branch)
-    # and goes on with a scalar, with a container of containers, or with an
-    # empty container, each after a leaf already seen
+    # a list that starts with a scalar-leaf container and goes on with a
+    # scalar, with a container of containers, or with an empty container,
+    # each after a leaf already seen
     @example({"a": [LEAF], "b": [LEAF, 3, "x", None, LEAF]})
     @example({"a": [LEAF], "b": [LEAF, [[1], LEAF], {"k": [LEAF]}, LEAF]})
     @example({"a": [LEAF], "b": [LEAF, [], {}, (), LEAF]})
@@ -156,12 +156,14 @@ class TestEncoder:
         assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
         assert rep._dumps(value, None) == json.dumps(value, sort_keys=True,
                                                      separators=(",", ":"))
+        text_form = "".join(rep._encoder(item_sep=", ", key_sep=": ")(value, []))
+        assert text_form == json.dumps(value, sort_keys=True)
 
     def test_refuses_what_json_refuses(self):
         refused = [
             {"x": Fraction(1, 2)},
             [1, {"x": [Fraction(1, 2)]}],          # in a list json's C encoder writes whole
-            [LEAF, LEAF, [2, Fraction(1, 2)]],     # in a list spliced from leaf texts
+            [LEAF, LEAF, [2, Fraction(1, 2)]],     # in a list the indented walk goes through
             {"a": [LEAF], "b": [LEAF, Fraction(1, 2)]},
         ]
         for value in refused:
