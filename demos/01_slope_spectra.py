@@ -15,7 +15,8 @@ from slopespectra import (
 
 # The unit square: 6 segments but only 4 parallelism classes, because the
 # two horizontal sides merge, the two vertical sides merge, and each
-# diagonal is its own class.
+# diagonal is its own class.  Each class is a SlopeClass, built once by the
+# configuration's incidence pass: a .direction and the .pairs that have it.
 square = Configuration.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)], EXACT)
 spec = slope_spectrum(square)
 print("unit square")
@@ -23,9 +24,10 @@ print(f"  slope classes: {spec.count}")
 for cls in spec.classes:
     print(f"    direction {(cls.direction.dx, cls.direction.dy)}: pairs {list(cls.pairs)}")
 
-# At each vertex only one class is missing: the far diagonal.
+# At each vertex only one class is missing: the far diagonal.  The forbidden
+# slopes are read from the configuration's own class table.
 for i in range(4):
-    missing = forbidden_slopes_at(square, spec, i)
+    missing = forbidden_slopes_at(square, i)
     print(f"  forbidden at vertex {i}: {[(d.dx, d.dy) for d in missing]}")
 
 # Points on the parabola y = x^2: the chord through parameters s and t has

@@ -12,6 +12,7 @@ from .geometry import (
     Configuration,
     Direction,
     Point,
+    SlopeClass,
     convex_position_order,
     direction,
     direction_from_vector,
@@ -26,7 +27,6 @@ from .slopes import (
     CriticalityReport,
     Forbidden,
     ParallelWitness,
-    SlopeClass,
     SlopeSpectrum,
     classify_criticality,
     forbidden_slope_table,

@@ -145,8 +145,7 @@ def _add_common(sub) -> argparse.ArgumentParser:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     config, digest = _load(args.file, args)
-    spectrum = slope_spectrum(config)
-    payload = rep.analyze_json(spectrum, forbidden_slope_table(config, spectrum),
+    payload = rep.analyze_json(slope_spectrum(config), forbidden_slope_table(config),
                                classify_criticality(config))
     _emit(_report("analyze", config, digest, payload, t0), args)
     return EXIT_OK

@@ -29,7 +29,14 @@ from .errors import (
     PolygonTooSmall,
     TooFewRemaining,
 )
-from .geometry import Configuration, Point, orientation, primitive_direction, require_indices
+from .geometry import (
+    Configuration,
+    Point,
+    is_general_position,
+    orientation,
+    primitive_direction,
+    require_indices,
+)
 from .regularity import AffineMap, regular_vertex
 from .scalars import Backend, EXACT, float_backend
 
@@ -297,14 +304,7 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
     strictly inside the convex hull of the others."""
     if n < 4:
         raise TooFewRemaining(f"need n >= 4, got {n}")
-    outer = random_general_position(n - 1, seed, bound)
-    pts = list(outer.points)
-    accepted = [_ratios(p.x, p.y) for p in pts]
-    dirs: list[set[tuple[int, int]]] = [set() for _ in pts]
-    for d, pairs in outer.direction_classes:
-        for i, j in pairs:
-            dirs[i].add((d.dx, d.dy))
-            dirs[j].add((d.dx, d.dy))
+    pts = random_general_position(n - 1, seed, bound).points
     rng = SplitMix64(seed ^ 0x9E3779B97F4A7C15)
     # a strict convex combination of any three non-collinear points lies
     # strictly inside the hull
@@ -314,9 +314,12 @@ def random_with_interior_point(n: int, seed: int, bound: int = 1000) -> Configur
         w2 = Fraction(rng.randint(1, int((1 - w1) * 100) - 1), 100)
         w3 = 1 - w1 - w2
         cand = Point(w1 * a.x + w2 * b.x + w3 * c.x, w1 * a.y + w2 * b.y + w3 * c.y)
-        if _directions_if_free(accepted, dirs, _ratios(cand.x, cand.y)) is None:
+        if cand in pts:
             continue
-        return Configuration(tuple(pts) + (cand,), EXACT)
+        # the outer points are in general position: a refusal puts cand on a line through two
+        config = Configuration(pts + (cand,), EXACT)
+        if is_general_position(config)[0]:
+            return config
     raise GenerationExhausted(f"no interior point found after {_MAX_INTERIOR_ATTEMPTS} attempts")
 
 

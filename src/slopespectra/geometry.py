@@ -10,7 +10,8 @@ product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 A configuration partitions its pairs into parallelism classes once
 (`Configuration.direction_classes`): the exact backend hashes every pair by
 its canonical integer direction, the float backend merges sorted pair
-angles.  The general-position test and the slope spectrum read that one table.
+angles.  It builds one `SlopeClass` per class: the one table that general
+position, the spectrum, forbidden slopes and criticality read.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -66,6 +67,17 @@ class Direction(Frozen, uncompared=("angle",)):
         set_field(self, "dy", dy)
         set_field(self, "exact", exact)
         set_field(self, "angle", angle)
+
+
+class SlopeClass(Frozen):
+    """One parallelism class: a canonical direction and its point pairs."""
+
+    direction: Direction
+    pairs: tuple[tuple[int, int], ...]
+
+    def __init__(self, direction, pairs):  # built per class
+        set_field(self, "direction", direction)
+        set_field(self, "pairs", pairs)
 
 
 def primitive_direction(ix: int, iy: int) -> tuple[int, int]:
@@ -226,9 +238,9 @@ class Configuration(Frozen):
         return Configuration(tuple(pts[i] for i in order), self.backend)
 
     @cached_property
-    def direction_classes(self) -> tuple[tuple[Direction, tuple[tuple[int, int], ...]], ...]:
-        """The parallelism classes of all pairs: (canonical direction, the
-        pairs (i, j) with i < j whose segment has it, in lexicographic order).
+    def direction_classes(self) -> tuple[SlopeClass, ...]:
+        """The parallelism classes of all pairs, a `SlopeClass` each: the
+        canonical direction and its pairs (i, j), i < j, in lexicographic order.
 
         One O(n^2) pass, cached on the configuration.  Exact: the points are
         put on their `integer_grid`, so each pair costs one gcd; classes are
@@ -247,7 +259,7 @@ class Configuration(Frozen):
                 for j in range(i + 1, len(grid)):
                     xj, yj = grid[j]
                     classes.setdefault(primitive_direction(xj - xi, yj - yi), []).append((i, j))
-            return tuple((Direction(*key, True), tuple(classes[key]))
+            return tuple(SlopeClass(Direction(*key, True), tuple(classes[key]))
                          for key in sorted(classes))
 
         n, eps = len(pts), b.eps_rel
@@ -266,8 +278,8 @@ class Configuration(Frozen):
         if len(groups) > 1 and ordered[0] + math.pi - ordered[-1] <= eps:
             groups[0] += groups.pop()
         firsts = [pairs[grp[0]] for grp in groups]
-        return tuple((direction_from_vector(xs[j] - xs[i], ys[j] - ys[i], b),
-                      tuple(map(pairs.__getitem__, sorted(grp))))
+        return tuple(SlopeClass(direction_from_vector(xs[j] - xs[i], ys[j] - ys[i], b),
+                                tuple(map(pairs.__getitem__, sorted(grp))))
                      for (i, j), grp in zip(firsts, groups))
 
 
@@ -287,7 +299,7 @@ def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     triples = []
-    for _, pairs in config.direction_classes:
+    for pairs in [cls.pairs for cls in config.direction_classes]:
         # k pairs of which no two share a point touch 2k points
         if len(pairs) > 1 and len(set(chain.from_iterable(pairs))) < 2 * len(pairs):
             partners: dict[int, list[int]] = {}

@@ -168,23 +168,18 @@ def render_svg(config: Configuration, highlight: str | None = None) -> str:
                 conic = conic_through_5(config.points[:5], config.backend)
                 body.append(_conic_svg(conic, frame))
             elif kind == "parallel":
-                spectrum = slope_spectrum(config)
-                if arg == "all":
-                    selected = list(enumerate(spectrum.classes))
-                else:
+                selected = list(enumerate(slope_spectrum(config).classes))
+                if arg != "all":
                     b = config.backend
                     want = direction_from_vector(b.coerce(arg[0]), b.coerce(arg[1]), b)
-                    selected = [
-                        (ci, cls) for ci, cls in enumerate(spectrum.classes)
-                        if directions_parallel(cls.direction, want, b)
-                    ]
+                    selected = [(ci, cls) for ci, cls in selected
+                                if directions_parallel(cls.direction, want, b)]
                 for ci, cls in selected:
-                    dash = _DASHES[ci % len(_DASHES)]
                     for (i, j) in cls.pairs:
-                        body.append(_segment(frame, pts[i], pts[j], "#303030", dash,
-                                             f"parallel-{ci}"))
+                        body.append(_segment(frame, pts[i], pts[j], "#303030",
+                                             _DASHES[ci % len(_DASHES)], f"parallel-{ci}"))
             else:  # forbidden at point arg
-                missing = forbidden_slopes_at(config, slope_spectrum(config), arg)
+                missing = forbidden_slopes_at(config, arg)
                 px, py = pts[arg]
                 half = 0.15 * max(frame.maxx - frame.minx, frame.maxy - frame.miny)
                 for di, d in enumerate(missing):

@@ -1,15 +1,15 @@
 """Slope spectra, forbidden slopes, and the convex-chord dichotomy.
 
 The slope spectrum of a configuration is the partition of all point pairs
-into parallelism classes.  It is the configuration's `direction_classes`,
-one O(n^2) pass on either backend (hashed integer directions when exact,
-merged sorted pair angles when float), computed once per configuration and
-shared with the general-position test and the criticality class.
+into parallelism classes: the configuration's `direction_classes`, one
+O(n^2) pass on either backend that builds each `SlopeClass` once.  The
+spectrum wraps that table, and every reader here shares its objects.
 
-Forbidden slopes are the classes whose pairs miss a point.  A point's row
-is a `Without` view, every class but the at most n - 1 that its pairs meet,
-so the table is O(n^2) objects though it lists O(n^3) entries.  The chord
-dichotomy reads the one class of its chord from the class table.
+Forbidden slopes are the classes whose pairs miss a point, indexed as in
+`slope_spectrum(config).classes`.  A point's row is a `Without` view, every
+class but the at most n - 1 that its pairs meet, so the table is O(n^2)
+objects though it lists O(n^3) entries.  The chord dichotomy reads the one
+class of its chord from the class table.
 """
 
 from __future__ import annotations
@@ -17,20 +17,9 @@ from __future__ import annotations
 from enum import Enum
 from itertools import compress
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
-from .geometry import Configuration, Direction, is_general_position
-
-
-class SlopeClass(Frozen):
-    """One parallelism class: a canonical direction and its point pairs."""
-
-    direction: Direction
-    pairs: tuple[tuple[int, int], ...]
-
-    def __init__(self, direction, pairs):  # built per class
-        set_field(self, "direction", direction)
-        set_field(self, "pairs", pairs)
+from .geometry import Configuration, Direction, SlopeClass, is_general_position
 
 
 class SlopeSpectrum(Frozen):
@@ -44,11 +33,11 @@ class SlopeSpectrum(Frozen):
 
 
 def slope_spectrum(config: Configuration) -> SlopeSpectrum:
-    """Partition all n(n-1)/2 pair directions into parallelism classes."""
+    """The parallelism classes of all pairs: `config.direction_classes`, not a copy."""
     n = len(config)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    return SlopeSpectrum(tuple(SlopeClass(d, pairs) for d, pairs in config.direction_classes))
+    return SlopeSpectrum(config.direction_classes)
 
 
 class Without(Frozen):
@@ -75,24 +64,25 @@ class Without(Frozen):
         return v in self.base and self.base.index(v) not in self.holes
 
 
-def forbidden_slope_table(config: Configuration, spectrum: SlopeSpectrum) -> tuple[Without, ...]:
-    """Per point index, the indices into `spectrum.classes` of the classes
-    that no segment at that point realizes: its forbidden slopes."""
+def forbidden_slope_table(config: Configuration) -> tuple[Without, ...]:
+    """Per point index, the indices into `slope_spectrum(config).classes` of
+    the classes that no segment at that point realizes: its forbidden slopes."""
+    classes = config.direction_classes
     met: list[list[int]] = [[] for _ in range(len(config))]
-    for k, cls in enumerate(spectrum.classes):
+    for k, cls in enumerate(classes):
         for a, b in cls.pairs:  # class k is realized at points a and b
             met[a].append(k)
             met[b].append(k)
-    base = range(len(spectrum.classes))
+    base = range(len(classes))
     return tuple(Without(base, tuple(dict.fromkeys(ks))) for ks in met)  # one hole per class
 
 
-def forbidden_slopes_at(config: Configuration, spectrum: SlopeSpectrum, i: int) -> list[Direction]:
+def forbidden_slopes_at(config: Configuration, i: int) -> list[Direction]:
     """The directions of the classes that `forbidden_slope_table` lists at
     point i: those no segment incident to point i realizes."""
     if not 0 <= i < len(config):
         raise IndexOutOfRange(f"point index {i} out of range")
-    return [spectrum.classes[k].direction for k in forbidden_slope_table(config, spectrum)[i]]
+    return [config.direction_classes[k].direction for k in forbidden_slope_table(config)[i]]
 
 
 class Forbidden(Frozen):
@@ -120,7 +110,7 @@ def lemma1_dichotomy(config: Configuration, i: int, j: int, k: int):
     n = len(config)
     if not (0 <= i < j < k < n):
         raise IndexOrder(f"need 0 <= i < j < k < n, got ({i}, {j}, {k}), n={n}")
-    pairs = next(pairs for _, pairs in config.direction_classes if (i, k) in pairs)
+    pairs = next(cls.pairs for cls in config.direction_classes if (i, k) in cls.pairs)
     # the pairs are in lexicographic order, so each partner list is sorted
     witnesses = [a + b - j for a, b in pairs if j in (a, b)]
     if not witnesses:

@@ -77,7 +77,7 @@ def test_criterion_2_single_deletions_certify():
             spectrum = slope_spectrum(cfg)
             assert spectrum.count == m == n + 1, f"m={m} k={k}"
             for i in range(n):
-                assert len(forbidden_slopes_at(cfg, spectrum, i)) == 2, f"m={m} k={k} i={i}"
+                assert len(forbidden_slopes_at(cfg, i)) == 2, f"m={m} k={k} i={i}"
             verdict = verify_theorem(cfg)
             assert isinstance(verdict, Certificate), f"m={m} k={k}: {verdict}"
             bx, by = verdict.missing_vertex.as_floats()

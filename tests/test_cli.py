@@ -293,6 +293,15 @@ class TestAnalyze:
         assert "BackendMismatch" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "render", "case"])
+def test_missing_file_is_one_error_line(tmp_path, capsys, command):
+    # main's OSError branch: no report, no traceback, one line naming the file
+    code, out, err = run(capsys, command, str(tmp_path / "missing.txt"))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "missing.txt" in err
+
+
 class TestAnalyzeReport:
     """The forbidden table lists n(n-1)(n-2)/2 directions in general
     position, all drawn from the spectrum's classes."""

@@ -331,8 +331,13 @@ class TestArgumentRefusals:
          DegenerateInput, "need exactly 6 points, got 5"),
         (lambda: pascal_parallel_coconic(parabola_points([0, 1, 3, 4, 5, 6, 7]), EXACT),
          DegenerateInput, "need exactly 6 points, got 7"),
+        (lambda: Conic.from_coeffs((0,) * 6, EXACT),
+         DegenerateConic, "all six coefficients are zero"),
+        (lambda: Conic.from_coeffs((0.0,) * 6, float_backend()),
+         DegenerateConic, "all six coefficients are zero"),
     ], ids=["group-base-off-conic", "float-direction-exact-conic", "line-in-conic",
-            "fit-4-points", "fit-6-points", "pascal-5-points", "pascal-7-points"])
+            "fit-4-points", "fit-6-points", "pascal-5-points", "pascal-7-points",
+            "zero-coeffs-exact", "zero-coeffs-float"])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call()

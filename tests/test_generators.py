@@ -232,6 +232,16 @@ class TestRandomConfigurations:
         with pytest.raises(InvalidSpec, match="bound >= 1"):
             make()
 
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: perturb(regular_polygon(5), -0.5, 1), ValueError, "delta must be nonnegative"),
+        (lambda: random_noncollinear(2, 1), TooFewRemaining, "need n >= 3, got 2"),
+        (lambda: random_convex_position(2, 1), TooFewRemaining, "need n >= 3, got 2"),
+        (lambda: random_with_interior_point(3, 1), TooFewRemaining, "need n >= 4, got 3"),
+    ], ids=["negative-delta", "noncollinear-2", "convex-2", "interior-3"])
+    def test_argument_refused(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
     def test_noncollinear_allows_triples(self):
         # small bound makes collinear triples likely but never all-collinear
         found_triple = False
@@ -316,10 +326,19 @@ class TestRejectionLoops:
         assert_general_position(cfg.points)
 
     @pytest.mark.parametrize("n, seed, bound", [(5, 134, 1), (6, 71, 2), (6, 11, 3)])
-    def test_interior_point(self, refused, n, seed, bound):
+    def test_interior_point(self, monkeypatch, n, seed, bound):
+        # the interior loop asks `is_general_position` of the outer points
+        # with each candidate; the outer draw never calls it
+        verdicts, real = [], generators.is_general_position
+
+        def counted(config):
+            found = real(config)
+            verdicts.append((len(config), found[0]))
+            return found
+
+        monkeypatch.setattr(generators, "is_general_position", counted)
         cfg = random_with_interior_point(n, seed, bound)
-        # the outer points are drawn against fewer than n - 1 accepted points
-        assert n - 1 in refused
+        assert (n, False) in verdicts
         assert_general_position(cfg.points)
         # strictly inside a triangle of the others, so strictly inside their hull
         a, b, c, inner = *cfg.points[:3], cfg.points[-1]

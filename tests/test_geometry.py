@@ -202,8 +202,8 @@ class TestTurn:
     def test_merged_neighbours_are_parallel(self, k):
         cfg = scaled(delete_vertices(regular_polygon(64), [0]), k)
         pts, b = cfg.points, cfg.backend
-        for _, pairs in cfg.direction_classes:
-            by_angle = sorted(pairs, key=lambda ij: direction_from_vector(
+        for cls in cfg.direction_classes:
+            by_angle = sorted(cls.pairs, key=lambda ij: direction_from_vector(
                 pts[ij[1]].x - pts[ij[0]].x, pts[ij[1]].y - pts[ij[0]].y, b).angle)
             for (i, j), (r, s) in zip(by_angle, by_angle[1:]):
                 assert segments_parallel(pts[i], pts[j], pts[r], pts[s], b)
@@ -312,6 +312,10 @@ class TestConvexPositionOrder:
         order = convex_position_order(cfg)
         pts = [tuple(map(int, cfg.points[i])) for i in order]
         assert pts == [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+    def test_too_few(self):
+        with pytest.raises(TooFewPoints, match="need at least 3 points, got 2"):
+            convex_position_order(exact_config([(0, 0), (1, 1)]))
 
     def test_interior_point_rejected(self):
         # triangle + centroid

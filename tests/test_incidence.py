@@ -23,6 +23,7 @@ from slopespectra import (
     AffineMap,
     Configuration,
     Criticality,
+    SlopeClass,
     apply_affine,
     classify_criticality,
     classify_proof_case,
@@ -110,7 +111,7 @@ class TestAgainstBruteForce:
 
             spectrum = slope_spectrum(cfg)
             assert spectrum.count == brute_slope_count(exact)
-            table = forbidden_slope_table(cfg, spectrum)
+            table = forbidden_slope_table(cfg)
             got = [[_direction_slope(spectrum.classes[k].direction) for k in ks] for ks in table]
             assert [len(dirs) for dirs in got] == [len(set(dirs)) for dirs in got]
             assert [set(dirs) for dirs in got] == brute_forbidden(exact)
@@ -209,13 +210,14 @@ def tuple_pass(config):
     for grp in groups:
         _, i, j = grp[0]
         d = direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b)
-        out.append((d, tuple(sorted((i, j) for _, i, j in grp))))
+        out.append(SlopeClass(d, tuple(sorted((i, j) for _, i, j in grp))))
     return tuple(out)
 
 
 def bits(classes):
     """Each class as the bytes of dx, dy and angle, and its pairs."""
-    return [(struct.pack("<3d", d.dx, d.dy, d.angle), pairs) for d, pairs in classes]
+    return [(struct.pack("<3d", c.direction.dx, c.direction.dy, c.direction.angle), c.pairs)
+            for c in classes]
 
 
 def assert_same_pass(config):
@@ -264,7 +266,7 @@ class TestFloatPass:
         big = 1e308
         cfg = float_config([(big, 0.0), (-big, 1.0), (0.0, big), (big, -big),
                             (-big, big), (0.5, 0.25), (-1.5 * big, -1.5 * big)])
-        assert any(math.isnan(d.angle) for d, _ in cfg.direction_classes)
+        assert any(math.isnan(c.direction.angle) for c in cfg.direction_classes)
         assert_same_pass(cfg)
 
 

@@ -257,3 +257,33 @@ class TestNormalizeToRegular:
     def test_exact_backend_refused(self):
         with pytest.raises(BackendMismatch):
             normalize_to_regular([ep(0, 0), ep(1, 0), ep(0, 1)], 5, EXACT)
+
+
+def fp(x, y):
+    return Point(float(x), float(y))
+
+
+TRIANGLE = [fp(0, 0), fp(1, 0), fp(0, 1)]
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: is_affinely_regular(regular_polygon(4)), TooFewPoints,
+         "need at least 5 points, got 4"),
+        (lambda: solve_affine_map([ep(0, 0), ep(1, 0)], [ep(0, 0), ep(1, 0)], EXACT),
+         CollinearSource, "need exactly three source and destination points"),
+        (lambda: normalize_to_regular(TRIANGLE[:2], 5, float_backend()), TooFewPoints,
+         "need at least 3 points, got 2"),
+        (lambda: normalize_to_regular(TRIANGLE + [fp(1, 1)], 3, float_backend()), TooFewPoints,
+         "cannot place 4 points on an 3-gon"),
+        (lambda: normalize_to_regular(TRIANGLE, 5, float_backend(), targets=[0, 1]),
+         ValueError, "targets must be 3 distinct vertex indices below 5"),
+        (lambda: normalize_to_regular(TRIANGLE, 5, float_backend(), targets=[0, 1, 1]),
+         ValueError, "targets must be 3 distinct vertex indices below 5"),
+        (lambda: normalize_to_regular(TRIANGLE, 5, float_backend(), targets=[0, 1, 5]),
+         ValueError, "targets must be 3 distinct vertex indices below 5"),
+    ], ids=["affinely-regular-4", "affine-map-2-points", "normalize-2-points",
+            "normalize-n-above-m", "targets-short", "targets-repeated", "targets-out-of-range"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

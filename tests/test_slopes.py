@@ -102,22 +102,19 @@ class TestSlopeSpectrum:
 class TestForbiddenSlopes:
     def test_square_one_forbidden_each(self):
         cfg = exact_config([(0, 0), (1, 0), (1, 1), (0, 1)])
-        spec = slope_spectrum(cfg)
         for i in range(4):
-            assert len(forbidden_slopes_at(cfg, spec, i)) == 1
+            assert len(forbidden_slopes_at(cfg, i)) == 1
 
     def test_octagon_minus_vertex_two_forbidden_each(self):
         cfg = delete_vertices(regular_polygon(8), [0])
-        spec = slope_spectrum(cfg)
-        assert spec.count == 8
+        assert slope_spectrum(cfg).count == 8
         for i in range(7):
-            assert len(forbidden_slopes_at(cfg, spec, i)) == 2
+            assert len(forbidden_slopes_at(cfg, i)) == 2
 
     def test_parabola_forbidden_at_first_point(self):
         # realized at t=0: slopes {1,2,3}; spectrum {1..5}; forbidden {4,5}
         cfg = parabola_config([0, 1, 2, 3])
-        spec = slope_spectrum(cfg)
-        dirs = forbidden_slopes_at(cfg, spec, 0)
+        dirs = forbidden_slopes_at(cfg, 0)
         assert [(d.dx, d.dy) for d in dirs] == [(1, 4), (1, 5)]
 
     def test_table_counts_complement(self):
@@ -129,7 +126,7 @@ class TestForbiddenSlopes:
         configs.append(perturb(delete_vertices(regular_polygon(12), [1]), 1e-11, 12))
         for cfg in configs:
             spec = slope_spectrum(cfg)
-            table = forbidden_slope_table(cfg, spec)
+            table = forbidden_slope_table(cfg)
             assert len(table) == len(cfg)
             for i, ks in enumerate(table):
                 dirs = [spec.classes[k].direction for k in ks]
@@ -142,7 +139,7 @@ class TestForbiddenSlopes:
                 assert len(realized) + len(dirs) == spec.count
                 assert realized.isdisjoint(ks)
                 assert list(ks) == sorted(ks)
-                assert dirs == forbidden_slopes_at(cfg, spec, i)
+                assert dirs == forbidden_slopes_at(cfg, i)
         assert several_at_one_point > 0
 
     @pytest.mark.parametrize("make", [
@@ -157,7 +154,7 @@ class TestForbiddenSlopes:
         # at its point; a class met twice at a point is one hole
         cfg = make()
         spec = slope_spectrum(cfg)
-        for i, row in enumerate(forbidden_slope_table(cfg, spec)):
+        for i, row in enumerate(forbidden_slope_table(cfg)):
             want = [k for k, cls in enumerate(spec.classes) if not any(i in p for p in cls.pairs)]
             assert list(row) == want
             assert len(row) == len(want)
@@ -167,7 +164,7 @@ class TestForbiddenSlopes:
         # a row holds only the classes met at its point: at most n - 1 each
         n = 40
         cfg = random_general_position(n, 5)
-        table = forbidden_slope_table(cfg, slope_spectrum(cfg))
+        table = forbidden_slope_table(cfg)
         assert sum(len(row.holes) for row in table) <= n * (n - 1)
         assert sum(map(len, table)) == n * (n - 1) * (n - 2) // 2
 
@@ -224,7 +221,7 @@ class TestLemma1Dichotomy:
         # on float input the verdict follows the class merge, as the table does
         cfg = make()
         spectrum = slope_spectrum(cfg)
-        table = forbidden_slope_table(cfg, spectrum)
+        table = forbidden_slope_table(cfg)
         class_of = {pair: c for c, cls in enumerate(spectrum.classes) for pair in cls.pairs}
         for i, j, k in combinations(range(len(cfg)), 3):
             verdict = lemma1_dichotomy(cfg, i, j, k)

@@ -25,6 +25,7 @@ from slopespectra import (
     ParallelWitness,
     Point,
     Refutation,
+    SlopeClass,
     Stage,
     classify_criticality,
     classify_proof_case,
@@ -38,7 +39,7 @@ from slopespectra import (
     verify_theorem,
 )
 from slopespectra._frozen import Frozen
-from slopespectra.errors import DegenerateConic, DuplicatePoints, NonInvertible
+from slopespectra.errors import BackendMismatch, DegenerateConic, DuplicatePoints, NonInvertible
 
 
 def samples() -> list:
@@ -51,7 +52,7 @@ def samples() -> list:
     return [
         EXACT, float_backend(), polygon, cls.direction,
         Point(Fraction(1, 2), Fraction(3)), cls, spectrum,
-        Forbidden(), ParallelWitness(3), forbidden_slope_table(polygon, spectrum)[0],
+        Forbidden(), ParallelWitness(3), forbidden_slope_table(polygon)[0],
         classify_criticality(polygon), cert, cert.conic, cert.base_point,
         ConicGroup(cert.conic, cert.base_point), Applicable(True), NotApplicable("P1P6 || P2P5"),
         random_affine_map(7), is_affinely_regular(polygon), GeneratorSpec(polygon=8, delete=(0,)),
@@ -138,6 +139,16 @@ class TestConstruction:
             with pytest.raises(AttributeError):
                 delattr(value, name)
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: Backend("decimal"), ValueError, "unknown backend kind 'decimal'"),
+        (lambda: EXACT.coerce("1"), BackendMismatch, "not a coordinate: '1'"),
+        (lambda: float_backend().coerce(True), BackendMismatch, "not a coordinate: True"),
+        (lambda: EXACT.coerce(None), BackendMismatch, "not a coordinate: None"),
+    ], ids=["unknown-kind", "coerce-str", "coerce-bool", "coerce-none"])
+    def test_backend_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_post_init_checks(self):
         with pytest.raises(ValueError):
             Backend("float", 2.0)
@@ -165,3 +176,13 @@ class TestState:
         classes = config.direction_classes
         assert vars(config)["direction_classes"] is classes
         assert config.direction_classes is classes
+
+    @pytest.mark.parametrize("config", [regular_polygon(8), delete_vertices(
+        Configuration.from_coords([(0, 0), (1, 0), (2, 1), (1, 3), (0, 2)], EXACT), [2])])
+    def test_spectrum_is_the_class_table(self, config):
+        # one table of SlopeClass values, shared rather than rebuilt
+        from slopespectra import geometry, slopes
+
+        assert SlopeClass is geometry.SlopeClass is slopes.SlopeClass
+        assert slope_spectrum(config).classes is config.direction_classes
+        assert all(type(cls) is SlopeClass for cls in config.direction_classes)

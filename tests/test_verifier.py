@@ -433,11 +433,10 @@ class TestCase22Claim:
             L = _case2_labels(cfg, case)
             b = cfg.backend
             n = len(L)
-            spectrum = slope_spectrum(cfg)
             index_of = {id(cfg.points[i]): i for i in range(n)}
             for i in range(5, n + 1):
                 at = index_of[id(L[i - 2])]
-                forbidden = forbidden_slopes_at(cfg, spectrum, at)
+                forbidden = forbidden_slopes_at(cfg, at)
                 assert len(forbidden) == 2
                 expect = [direction(L[i - 3], L[i - 1], b), direction(L[1], L[i - 3], b)]
                 for want in expect:
