@@ -8,19 +8,19 @@ command on the same inputs reproduces the digest even though timing varies.
 One walker, `_encoder`, writes both JSON forms and the text form's lists,
 byte for byte what `json.dumps(sort_keys=True)` writes with their
 separators.  json's C encoder writes whole each value that holds no
-container; Python walks the dicts that hold one and, when indented, the
-lists that hold one.  A row of the `analyze` forbidden table is a `Without`
-view over one list of class direction dicts; the walker writes their texts
-once and `itertools.compress` puts a row's texts in by reference, so the
-O(n^3)-entry table runs Python per row and hole.
+container; Python runs per dict that holds one and, indented, per column of
+like values in a list, not per value.  A row of the `analyze` forbidden
+table is a `Without` view over one list of class direction dicts, whose
+texts are made once and put in each row by reference.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from .conics import Conic
 from .geometry import Direction, Point
@@ -168,27 +168,62 @@ def _encoder(indent: int | None = None, item_sep: str = ",", key_sep: str = ": "
     key_sep))` for obj at `depth`, and return `out`; tuples are lists.
     json's C encoder writes whole each value that holds no container, and an
     indented non-empty container gets its brackets re-broken for its depth.
-    Python walks a dict that holds a container, and a list that holds one only
-    when indented.  A `Without` dict value under no list (`row_ok`) is a row
-    of its base's item texts, made once per base and depth."""
-    # levels[d]: the line break before an item at depth d and the C encoder
-    # for items at depth d; unindented, every break is ""
-    levels: list[tuple] = []
+    Python walks a dict that holds a container.  Indented, a list that holds
+    one is a `column`, and so is the base of a `Without` dict value under no
+    list (`row_ok`): a row of its base's item texts, made once per base and depth."""
+    # levels[d]: the line breaks before the closing bracket and before each
+    # item of a value at depth d, and the C encoder of its items; unindented,
+    # every break is ""
+    levels: dict[int, tuple] = {}
     rows: dict[tuple[int, int], list[str]] = {}
     indented = indent is not None
 
+    def level(depth: int) -> tuple:
+        outer = "\n" + " " * (indent * depth) if indented else ""
+        inner = outer + " " * indent if indented else ""
+        levels[depth] = outer, inner, _c_encoder(item_sep + inner, key_sep)
+        return levels[depth]
+
+    def column(values, depth: int) -> list[str]:
+        """The indented text of each of `values` at `depth`; Python runs per
+        column, not per value, unless the values are unlike.  Splitting one C
+        text at separator and brackets is exact: the separator holds a line
+        break, no JSON string text holds one, no scalar's text ends in a bracket."""
+        outer, inner, c_encode = levels.get(depth) or level(depth)
+        sep, values = item_sep + inner, list(values)
+        if not values:
+            return []
+        dicts = all(map(isinstance, values, repeat(dict)))
+        lists = all(map(isinstance, values, repeat((list, tuple))))
+        below = chain.from_iterable(map(dict.values, values) if dicts else values)
+        if (dicts or lists) and all(values) and not any(map(isinstance, below, repeat(_NESTED))):
+            o, c = "{}" if dicts else "[]"  # one C call, split between values
+            bodies = "".join(c_encode(values, 0))[2:-2].split(c + sep + o)
+            return list(map("".join, zip(repeat(o + inner), bodies, repeat(outer + c))))
+        keys = values[0].keys() if dicts else ()
+        if keys and all(map(isinstance, keys, repeat(str))) and \
+                all(map(keys.__eq__, map(dict.keys, values))):
+            parts, head = [], "{" + inner  # one column per key
+            for k in sorted(keys):
+                parts += repeat(head + _key_text(k) + key_sep), \
+                    column(map(itemgetter(k), values), depth + 1)
+                head = sep
+            return list(map("".join, zip(*parts, repeat(outer + "}"))))
+        if lists:  # one column of all their items, regrouped; an empty one is "[]"
+            items = iter(column(chain.from_iterable(values), depth + 1))
+            bodies = map(sep.join, map(islice, repeat(items), map(len, values)))
+            texts = list(map("".join, zip(repeat("[" + inner), bodies, repeat(outer + "]"))))
+            return list(map({"[" + inner + outer + "]": "[]"}.get, texts, texts))
+        return ["".join(encode(v, [], False, depth)) for v in values]
+
     def encode(o, out: list[str], row_ok: bool = False, depth: int = 0) -> list[str]:
-        while len(levels) <= depth + 1:
-            brk = "\n" + " " * (indent * len(levels)) if indented else ""
-            levels.append((brk, _c_encoder(item_sep + brk, key_sep)))
-        outer, (inner, c_encode) = levels[depth][0], levels[depth + 1]
+        outer, inner, c_encode = levels.get(depth) or level(depth)
         if row_ok and isinstance(o, Without):
             texts = rows.get((id(o.base), depth))
             if texts is None:  # each item's text, then a separator
-                items = (encode(v, [], False, depth + 1) for v in o.base) if indented else \
-                    map(c_encode, o.base, repeat(0))  # a list item: C writes it whole
                 texts = rows[id(o.base), depth] = [item_sep + inner] * (2 * len(o.base))
-                texts[::2] = map("".join, items)
+                texts[::2] = column(o.base, depth + 1) if indented else \
+                    map("".join, map(c_encode, o.base, repeat(0)))  # C writes a list item whole
             out.append("[" + inner)
             out.extend(compress(texts, o.mask(2)))
             out[-1] = outer + "]" if len(o) else "[]"
@@ -200,12 +235,7 @@ def _encoder(indent: int | None = None, item_sep: str = ",", key_sep: str = ": "
                 head = item_sep + inner
             out.append(outer + "}")
         elif indented and isinstance(o, (list, tuple)) and any(map(isinstance, o, repeat(_NESTED))):
-            head = "[" + inner
-            for item in o:
-                out.append(head)
-                encode(item, out, False, depth + 1)
-                head = item_sep + inner
-            out.append(outer + "]")
+            out.append("[" + inner + (item_sep + inner).join(column(o, depth + 1)) + outer + "]")
         else:
             text = "".join(c_encode(o, 0))
             if indented and isinstance(o, _CONTAINERS) and o:

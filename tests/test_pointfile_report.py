@@ -136,6 +136,48 @@ def shared_leaf(draw):
 
 LEAF = {"dx": 1, "dy": -2}
 
+# strings that hold what the indented walker splits its C texts at, or what
+# a format string would read
+COLUMN_TEXTS = st.sampled_from(["},\n  {", "],[", "]\n[", '"', "\\", "%", "%s"])
+# the layout of like values: a scalar, a dict of layouts, or a list or tuple
+# of one layout
+SHAPES = st.recursive(
+    st.just(None),
+    lambda inner: st.one_of(
+        st.dictionaries(st.one_of(st.text(max_size=3), COLUMN_TEXTS), inner,
+                        min_size=1, max_size=3).map(lambda d: ("dict", d)),
+        st.tuples(st.sampled_from(["list", "tuple"]), inner)),
+    max_leaves=6)
+
+
+def like(shape):
+    """Values laid out as `shape`; lists and tuples of any length, empty ones included."""
+    if shape is None:
+        return st.one_of(JSON_SCALARS, COLUMN_TEXTS)
+    kind, inner = shape
+    if kind == "dict":
+        return st.fixed_dictionaries({k: like(v) for k, v in inner.items()})
+    return st.lists(like(inner), max_size=3).map(tuple if kind == "tuple" else list)
+
+
+@st.composite
+def columns(draw):
+    """Two or more like values in one list, at times with one unlike value
+    among them, at depth one and under lists at two more depths."""
+    values = draw(st.lists(draw(SHAPES.map(like)), min_size=2, max_size=5))
+    if draw(st.booleans()):
+        odd = draw(st.one_of(st.sampled_from([{}, [], ()]), JSON_VALUES))
+        values.insert(draw(st.integers(0, len(values))), odd)
+    return {"top": values, "deeper": [[values, values[:1]]]}
+
+
+def assert_json_dumps(value):
+    """Both JSON forms and the text form's lists are `json.dumps`'s text."""
+    assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
+    assert rep._dumps(value, None) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    text_form = "".join(rep._encoder(item_sep=", ", key_sep=": ")(value, []))
+    assert text_form == json.dumps(value, sort_keys=True)
+
 
 class TestEncoder:
     """`report._dumps` is `json.dumps(sort_keys=True)` byte for byte."""
@@ -153,11 +195,47 @@ class TestEncoder:
     @example([LEAF, [LEAF, [LEAF, LEAF]], LEAF])
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
-        assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
-        assert rep._dumps(value, None) == json.dumps(value, sort_keys=True,
-                                                     separators=(",", ":"))
-        text_form = "".join(rep._encoder(item_sep=", ", key_sep=": ")(value, []))
-        assert text_form == json.dumps(value, sort_keys=True)
+        assert_json_dumps(value)
+
+    @given(columns())
+    # like dicts whose strings hold the split texts, and keys that hold "%"
+    @example([{"s": "},\n  {", "%k": [1]}, {"s": "],[", "%k": [2, 3]}, {"s": '"\\%', "%k": []}])
+    @example([{"a": "},\n  {"}, {"a": "],["}, {"a": '"'}, {"a": "\\"}, {"%": "%s"}])
+    # unequal key sets, with and without containers below
+    @example([{"a": [1]}, {"b": [2]}, {"a": [1], "b": {}}])
+    @example([{"a": 1}, {"b": 2}, {"a": 3, "b": 4}])
+    # one empty dict, list or tuple among non-empty ones
+    @example([{"a": 1}, {}, {"a": 2}])
+    @example([{"a": [1]}, {}, {"a": [2]}])
+    @example([[1], [], [2]])
+    @example([(1,), (), (2, 3)])
+    # dicts mixed with lists
+    @example([{"a": 1}, [1, 2], {"a": 2}])
+    @example([{"a": [1]}, [[1]], {"a": [2]}])
+    # lists of lists with an empty inner list, and tuples
+    @example([[[1, 2], []], [[3]], [[], []]])
+    @example([((1, 2), (3,)), ((4, 5),)])
+    @example(({"a": (1, 2)}, {"a": (3,)}))
+    # keys that are equal but written differently
+    @example([{1: [1]}, {True: [2]}, {1.0: [3]}])
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_json_dumps(self, value):
+        assert_json_dumps(value)
+
+    def test_python_runs_per_column(self, monkeypatch):
+        """The indented walker writes a key once per column of like dicts,
+        not once per dict."""
+        calls = []
+        key_text = rep._key_text
+        monkeypatch.setattr(rep, "_key_text", lambda k: calls.append(k) or key_text(k))
+        counts = []
+        for n in (10, 1000):
+            value = {"classes": [{"direction": {"dx": k, "dy": 1}, "pairs": [[0, k]]}
+                                 for k in range(n)]}
+            calls.clear()
+            assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_refuses_what_json_refuses(self):
         refused = [
@@ -165,6 +243,8 @@ class TestEncoder:
             [1, {"x": [Fraction(1, 2)]}],          # in a list json's C encoder writes whole
             [LEAF, LEAF, [2, Fraction(1, 2)]],     # in a list the indented walk goes through
             {"a": [LEAF], "b": [LEAF, Fraction(1, 2)]},
+            # three levels deep in a column of like dicts
+            [{"a": {"b": {"c": 1}}}, {"a": {"b": {"c": Fraction(1, 2)}}}],
         ]
         for value in refused:
             for indent in (2, None):
@@ -197,6 +277,8 @@ def rows_in_dicts(draw):
 
 
 NON_LEAVES = [[1, [2]], {"k": [LEAF]}, [], "s", LEAF]
+CLASSES = [{"direction": LEAF, "pairs": [[0, 1]]}, {"direction": {"dx": 3, "dy": 1},
+           "pairs": [[0, 2], [1, 3]]}, {"direction": {"dx": 0, "dy": 1}, "pairs": []}]
 
 
 class TestWithoutRows:
@@ -211,6 +293,8 @@ class TestWithoutRows:
     # a base of non-leaf items, shared by rows at two depths
     @example({"a": Without(NON_LEAVES, (1,)),
               "b": {"c": Without(NON_LEAVES, (0, 4)), "d": {"e": Without(NON_LEAVES, ())}}})
+    # a base that is a column of like dicts
+    @example({"a": Without(CLASSES, (1,)), "b": {"c": Without(CLASSES, ())}})
     @settings(max_examples=200, deadline=None)
     def test_matches_json_dumps_of_lists(self, value):
         lists = plain(value)
