@@ -8,10 +8,13 @@ Every parallel, collinear and which-side decision is the sign of one cross
 product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 
 A configuration partitions its pairs into parallelism classes once
-(`Configuration.direction_classes`): the exact backend hashes every pair by
-its canonical integer direction, the float backend merges sorted pair
-angles.  It builds one `SlopeClass` per class: the one table that general
-position, the spectrum, forbidden slopes and criticality read.
+(`Configuration.pair_classes`): the exact backend hashes every pair by its
+correctly rounded slope on the configuration's integer `grid`, with no gcd
+per pair; the float backend merges sorted pair angles.  General position
+and every slope count read that partition.  `Configuration.direction_classes`
+names it afterwards, one `Direction` and one `SlopeClass` per class: the
+table that the spectrum's classes, forbidden slopes and the chord dichotomy
+read.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -78,6 +81,10 @@ class SlopeClass(Frozen):
     def __init__(self, direction, pairs):  # built per class
         set_field(self, "direction", direction)
         set_field(self, "pairs", pairs)
+
+
+# one parallelism class: a representative pair and the class's pairs
+PairClass = tuple[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def primitive_direction(ix: int, iy: int) -> tuple[int, int]:
@@ -153,7 +160,7 @@ def direction(p: Point, q: Point, backend: Backend) -> Direction:
 def turn(ux, uy, vx, vy, backend: Backend) -> int:
     """Sign of u x v: +1 ccw, -1 cw, 0 parallel; exact on rationals.  On floats
     0 iff |u x v| <= eps_rel |u| |v|, a sine bound that no scaling moves, with
-    the eps, in radians, within which `direction_classes` merges pair angles."""
+    the eps, in radians, within which `pair_classes` merges pair angles."""
     cross = ux * vy - uy * vx
     if backend.exact or abs(cross) > backend.eps_rel * math.hypot(ux, uy) * math.hypot(vx, vy):
         return (cross > 0) - (cross < 0)
@@ -238,31 +245,66 @@ class Configuration(Frozen):
         return Configuration(tuple(pts[i] for i in order), self.backend)
 
     @cached_property
-    def direction_classes(self) -> tuple[SlopeClass, ...]:
-        """The parallelism classes of all pairs, a `SlopeClass` each: the
-        canonical direction and its pairs (i, j), i < j, in lexicographic order.
+    def grid(self) -> list[tuple[int, int]]:
+        """The points on their `integer_grid`, computed once: the exact pass,
+        the exact class names and the hull read it."""
+        return integer_grid(self.points)[1]
 
-        One O(n^2) pass, cached on the configuration.  Exact: the points are
-        put on their `integer_grid`, so each pair costs one gcd; classes are
-        sorted by direction.  Float: sorted pair angles in [0, pi) are merged
-        when adjacent within eps_rel radians, the pi/0 wraparound included;
-        a class is represented by its smallest (angle, i, j), and classes are
-        sorted by angle.  Merging follows the sorted order and is not
-        transitively closed, which keeps the output deterministic.
+    @cached_property
+    def pair_classes(self) -> tuple[PairClass, ...]:
+        """The parallelism classes of all pairs, unnamed: per class a
+        representative pair and the class's pairs (i, j), i < j, in
+        lexicographic order.
+
+        One O(n^2) pass, cached on the configuration.  Exact: each pair of
+        the `grid` is hashed by its correctly rounded slope, dy / dx when
+        |dx| >= |dy| and dx / dy in a second table otherwise, so parallel
+        pairs always share a key and no pair costs a gcd.  A bucket whose
+        pairs do not all `turn` 0 against its first (two slopes within a
+        rounding of each other) is split by `primitive_direction`, so no
+        input makes the pass worse than O(n^2).  The representative is the
+        first pair, and classes come in no promised order.  Float: sorted
+        pair angles in [0, pi) are merged when adjacent within eps_rel
+        radians, the pi/0 wraparound included; the representative is the
+        smallest (angle, i, j), and classes are sorted by angle.  Merging
+        follows the sorted order and is not transitively closed, which keeps
+        the output deterministic.
         """
         pts = self.points
-        b = self.backend
+        n, b = len(pts), self.backend
         if b.exact:
-            _, grid = integer_grid(pts)
-            classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for i, (xi, yi) in enumerate(grid):
-                for j in range(i + 1, len(grid)):
-                    xj, yj = grid[j]
-                    classes.setdefault(primitive_direction(xj - xi, yj - yi), []).append((i, j))
-            return tuple(SlopeClass(Direction(*key, True), tuple(classes[key]))
-                         for key in sorted(classes))
+            xs, ys = zip(*self.grid) if n else ((), ())
+            # parallel pairs have one |dy| / |dx|, so one regime, and int / int
+            # is correctly rounded, so one key; a bucket is its first pair
+            # and, in `more`, the pairs that met it
+            flat: dict[float, tuple[int, int]] = {}
+            steep: dict[float, tuple[int, int]] = {}
+            more: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for i, xi, yi in zip(range(n), xs, ys):
+                for j, xj, yj in zip(range(i + 1, n), xs[i + 1:], ys[i + 1:]):
+                    dx, dy = xj - xi, yj - yi
+                    ij = (i, j)
+                    first = (flat.setdefault(dy / dx, ij) if abs(dx) >= abs(dy)
+                             else steep.setdefault(dx / dy, ij))
+                    if first is not ij:
+                        more.setdefault(first, []).append(ij)
+            classes = []
+            for first in chain(flat.values(), steep.values()):
+                rest = more.get(first, ())
+                if rest:
+                    i, j = first
+                    ux, uy = xs[j] - xs[i], ys[j] - ys[i]
+                    if any(turn(ux, uy, xs[k] - xs[h], ys[k] - ys[h], EXACT) for h, k in rest):
+                        split: dict[tuple[int, int], list[tuple[int, int]]] = {}
+                        for h, k in (first, *rest):
+                            split.setdefault(primitive_direction(xs[k] - xs[h], ys[k] - ys[h]),
+                                             []).append((h, k))
+                        classes += ((ps[0], tuple(ps)) for ps in split.values())
+                        continue
+                classes.append((first, (first, *rest)))
+            return tuple(classes)
 
-        n, eps = len(pts), b.eps_rel
+        eps = b.eps_rel
         xs, ys = [p.x for p in pts], [p.y for p in pts]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         angles = [_unit_direction(xj - xi, yj - yi)[2] for i, xi, yi in zip(range(n), xs, ys)
@@ -277,10 +319,28 @@ class Configuration(Frozen):
         # way each group starts with its smallest key, in ascending order
         if len(groups) > 1 and ordered[0] + math.pi - ordered[-1] <= eps:
             groups[0] += groups.pop()
-        firsts = [pairs[grp[0]] for grp in groups]
-        return tuple(SlopeClass(direction_from_vector(xs[j] - xs[i], ys[j] - ys[i], b),
-                                tuple(map(pairs.__getitem__, sorted(grp))))
-                     for (i, j), grp in zip(firsts, groups))
+        return tuple((pairs[grp[0]], tuple(map(pairs.__getitem__, sorted(grp))))
+                     for grp in groups)
+
+    @cached_property
+    def direction_classes(self) -> tuple[SlopeClass, ...]:
+        """The `pair_classes` named: a `SlopeClass` each, the canonical
+        direction of the class's representative pair and its pairs.
+
+        No second pass over the pairs: one `Direction` per class, on exact
+        input from one gcd of the representative on the `grid`, and exact
+        classes sorted by direction.  Float classes keep the angle order of
+        `pair_classes`.
+        """
+        if self.backend.exact:
+            grid = self.grid
+            named = {primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1]): pairs
+                     for (i, j), pairs in self.pair_classes}
+            return tuple(SlopeClass(Direction(*key, True), named[key]) for key in sorted(named))
+        pts, b = self.points, self.backend
+        return tuple(SlopeClass(direction_from_vector(pts[j].x - pts[i].x,
+                                                      pts[j].y - pts[i].y, b), pairs)
+                     for (i, j), pairs in self.pair_classes)
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -299,7 +359,7 @@ def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
     triples = []
-    for pairs in [cls.pairs for cls in config.direction_classes]:
+    for _, pairs in config.pair_classes:
         # k pairs of which no two share a point touch 2k points
         if len(pairs) > 1 and len(set(chain.from_iterable(pairs))) < 2 * len(pairs):
             partners: dict[int, list[int]] = {}
@@ -324,7 +384,7 @@ def convex_position_order(config: Configuration) -> tuple[int, ...]:
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    _, grid = integer_grid(config.points)
+    grid = config.grid
     order = sorted(range(n), key=grid.__getitem__)
 
     def build(indices):

@@ -1,9 +1,11 @@
 """Slope spectra, forbidden slopes, and the convex-chord dichotomy.
 
 The slope spectrum of a configuration is the partition of all point pairs
-into parallelism classes: the configuration's `direction_classes`, one
-O(n^2) pass on either backend that builds each `SlopeClass` once.  The
-spectrum wraps that table, and every reader here shares its objects.
+into parallelism classes: the configuration's `pair_classes`, one O(n^2)
+pass on either backend.  A spectrum's count and the criticality class read
+that partition alone; its `classes` are the configuration's
+`direction_classes`, the partition named with one `SlopeClass` per class,
+built on first read, and every reader here shares those objects.
 
 Forbidden slopes are the classes whose pairs miss a point, indexed as in
 `slope_spectrum(config).classes`.  A point's row is a `Without` view, every
@@ -23,21 +25,27 @@ from .geometry import Configuration, Direction, SlopeClass, is_general_position
 
 
 class SlopeSpectrum(Frozen):
-    """All parallelism classes of a configuration, deterministically ordered."""
+    """All parallelism classes of a configuration, deterministically ordered:
+    counted from its `pair_classes`, named when `classes` is first read."""
 
-    classes: tuple[SlopeClass, ...]
+    config: Configuration
+
+    @property
+    def classes(self) -> tuple[SlopeClass, ...]:
+        return self.config.direction_classes
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.config.pair_classes)
 
 
 def slope_spectrum(config: Configuration) -> SlopeSpectrum:
-    """The parallelism classes of all pairs: `config.direction_classes`, not a copy."""
+    """The parallelism classes of all pairs: `.classes` is
+    `config.direction_classes`, not a copy, named only when read."""
     n = len(config)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    return SlopeSpectrum(config.direction_classes)
+    return SlopeSpectrum(config)
 
 
 class Without(Frozen):
@@ -155,7 +163,7 @@ def classify_criticality(config: Configuration) -> CriticalityReport:
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    count = len(config.direction_classes)
+    count = len(config.pair_classes)
     if count == 1:
         raise AllCollinear("all points lie on one line")
     gp, _ = is_general_position(config)

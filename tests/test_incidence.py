@@ -2,7 +2,8 @@
 cost in orientation tests counted rather than timed.
 
 The oracles here loop over pairs and triples with their own rational
-arithmetic; they share no code with `Configuration.direction_classes`.
+arithmetic; they share no code with `Configuration.pair_classes` or
+`Configuration.direction_classes`.
 `tuple_pass`, the float pass as sorted (angle, i, j) tuples, shares its
 angle routine: it checks the pass's sort and merge, bit for bit.
 """
@@ -24,6 +25,7 @@ from slopespectra import (
     Configuration,
     Criticality,
     SlopeClass,
+    Stage,
     apply_affine,
     classify_criticality,
     classify_proof_case,
@@ -74,6 +76,31 @@ def brute_first_collinear_triple(config):
     return None
 
 
+def brute_partition(config):
+    """The pairs grouped by their exact slope value, a sorted tuple each."""
+    pts = config.points
+    classes = {}
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            classes.setdefault(_slope(pts[i], pts[j]), []).append((i, j))
+    return sorted(tuple(ps) for ps in classes.values())
+
+
+def assert_partition(cfg):
+    """`pair_classes` is the partition that `direction_classes` names: the
+    same pair tuples, each representative in its own class; float classes
+    in the same order."""
+    unnamed = cfg.pair_classes
+    assert all(rep in pairs and list(pairs) == sorted(set(pairs)) for rep, pairs in unnamed)
+    named = [cls.pairs for cls in cfg.direction_classes]
+    if cfg.backend.exact:
+        assert sorted(pairs for _, pairs in unnamed) == sorted(named)
+    else:
+        assert [pairs for _, pairs in unnamed] == named
+    assert sorted(p for _, pairs in unnamed for p in pairs) == \
+        [(i, j) for i in range(len(cfg)) for j in range(i + 1, len(cfg))]
+
+
 def brute_forbidden(config):
     """Per point, the slope values of all pairs less those of pairs at it."""
     pts = config.points
@@ -107,6 +134,8 @@ class TestAgainstBruteForce:
         image = Configuration.from_coords([(p.x, p.y) for p in exact.points], float_backend())
         triple = brute_first_collinear_triple(exact)
         for cfg in (exact, image):
+            assert_partition(cfg)
+            assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(exact)
             assert is_general_position(cfg) == (triple is None, triple)
 
             spectrum = slope_spectrum(cfg)
@@ -125,6 +154,50 @@ class TestAgainstBruteForce:
         cfg = exact_config([(0, 0), (1, 0), (0, 1), (0, 2), (3, 0), (5, 7)])
         assert brute_first_collinear_triple(cfg) == (0, 1, 4)
         assert is_general_position(cfg) == (False, (0, 1, 4))
+
+
+# Pairs of the first set share the rounded slope 1.0 though no two are
+# parallel; the others put exact slopes of +-1 next to slopes within a
+# rounding of them on either side of the |dx| = |dy| regime boundary, and
+# vertical and horizontal pairs in both directions.
+BIG = 2 ** 80
+ADVERSARIAL = [
+    [(0, 0), (BIG, BIG + 1), (BIG + 1, BIG + 2), (2 * BIG, 2 * BIG + 3)],
+    [(0, 0), (BIG, BIG), (BIG + 1, BIG), (BIG, BIG + 1), (-BIG, BIG), (-BIG - 1, BIG),
+     (1, 1), (2, -2), (0, BIG), (BIG, 0), (-5, 0), (-5, 7), (0, -3)],
+    [(5, 0), (0, 0), (-3, 0), (0, 4), (0, -4), (2, 2), (4, 4), (3, -3), (7, 1), (1, 7)],
+]
+# signed zeros in the coordinates, and horizontal and vertical pairs
+SIGNED_ZEROS = [(0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (-2.0, -0.0), (-0.0, -3.0),
+                (2.5, 2.5), (-1.5, 1.5), (4.0, 1.0), (-0.0, 7.0)]
+
+
+class TestPartition:
+    """`pair_classes` on pinned inputs where rounded slopes meet: the exact
+    pass must split what rounding joins, the float pass must keep signed
+    zeros in one class."""
+
+    @pytest.mark.parametrize("coords", ADVERSARIAL)
+    def test_exact_buckets_split_by_direction(self, coords):
+        cfg = exact_config(coords)
+        assert_partition(cfg)
+        assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(cfg)
+        assert len(cfg.direction_classes) == brute_slope_count(cfg)
+
+    def test_rounded_slopes_meet(self):
+        # the premise of the first set: distinct slopes, one rounded key
+        pts = exact_config(ADVERSARIAL[0]).points
+        slopes = {_slope(pts[i], pts[j]) for i in range(4) for j in range(i + 1, 4)}
+        assert len(slopes) == 6 and {float(1 / s) for s in slopes} == {1.0}
+
+    def test_float_signed_zeros(self):
+        cfg = float_config(SIGNED_ZEROS)
+        exact = exact_config([(Fraction(x), Fraction(y)) for x, y in SIGNED_ZEROS])
+        assert_partition(cfg)
+        assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(exact)
+        assert_same_pass(cfg)
+        assert all(cls.direction.angle == 0.0 and math.copysign(1, cls.direction.dy) == 1
+                   for cls in cfg.direction_classes if cls.direction.dy == 0)
 
 
 # A point near the origin sees the far pair (1e6, y), (1e6, y + 1e-4) about
@@ -362,6 +435,50 @@ class TestScaling:
         eq_calls[0] = 0
         Configuration(cfg.points, cfg.backend)
         assert eq_calls[0] == 0
+
+    @pytest.mark.parametrize("coords", [
+        None, [(0, 0), (4, 0), (0, 4), (1, 1), (5, 7), (9, 2), (3, 11), (12, 5)]],
+        ids=["convex", "not-convex"])
+    def test_exact_verify_makes_no_direction(self, monkeypatch, coords):
+        # verify reads the partition: exact input stops by SlopeCount, which
+        # counts classes without naming them
+        cfg = random_convex_position(40, 2) if coords is None else exact_config(coords)
+        made = [0]
+        original = slopespectra.geometry.Direction
+
+        def counted(*args, **kwargs):
+            made[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(slopespectra.geometry, "Direction", counted)
+        verdict = verify_theorem(cfg)
+        stage = Stage.SLOPE_COUNT if coords is None else Stage.CONVEX_POSITION
+        assert verdict.stage is stage and made[0] == 0
+
+    def test_exact_rounded_slopes_stay_quadratic(self, monkeypatch):
+        # every slope 1 + (j + i) / 2^80 rounds to one key, and pairs with one
+        # j + i are parallel: one bucket of n(n-1)/2 pairs split into 2n - 3
+        # classes with at most a cross product and one gcd per pair, not a
+        # cross product per pair and class
+        n = 80
+        cfg = exact_config([(BIG * k, BIG * k + k * k) for k in range(n)])
+        calls = {"turn": 0, "primitive_direction": 0}
+
+        def counting(name):
+            original = getattr(slopespectra.geometry, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(slopespectra.geometry, name, counting(name))
+        classes = cfg.pair_classes
+        pairs = n * (n - 1) // 2
+        assert len(classes) == 2 * n - 3
+        assert all(len({i + j for i, j in ps}) == 1 for _, ps in classes)
+        assert calls["turn"] < pairs and calls["primitive_direction"] == pairs
 
     def test_exact_hull_makes_none(self, orientation_calls):
         cfg = random_convex_position(150, 1)
