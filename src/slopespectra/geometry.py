@@ -23,6 +23,7 @@ taken modulo n wherever an operation documents it.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -189,42 +190,31 @@ def segments_parallel(p: Point, q: Point, r: Point, s: Point, backend: Backend) 
 class Configuration(Frozen):
     """An immutable indexed set of pairwise-distinct planar points.
 
-    `DuplicatePoints` names the lexicographically first pair (i, j), i < j,
-    with `points_equal`: exact input is hashed by its coordinates, O(n); float
-    input is sorted by x and swept, O(n log n) plus the pairs in the window.
+    `DuplicatePoints` names the lexicographically first pair i < j of equal
+    points, found by one sweep along ascending x: exact input on its `grid`
+    with `==`, float input with `Backend.eq`.  The sweep from x_i stops at
+    the first x not equal to it, as no later x is (see `scalars`): O(n log n)
+    plus the pairs of equal x.
     """
 
     points: tuple[Point, ...]
     backend: Backend
 
     def __post_init__(self):
-        pts, b = self.points, self.backend
-        if b.exact:  # equal rationals hash equal
-            first: dict = {}
-            equal = [(first.setdefault((p.x, p.y), j), j) for j, p in enumerate(pts)]
+        if self.backend.exact:
+            xs, ys, eq = [x for x, _ in self.grid], [y for _, y in self.grid], operator.eq
         else:
-            # x_j - x_i > 2 eps max(1, |x_i|, |x_j|) ends the sweep from x_i:
-            # no x_k >= x_j then has x_k - x_i <= eps max(1, |x_i|, |x_k|), eps < 1
-            xs = [p.x for p in pts]
-            order = sorted(range(len(pts)), key=xs.__getitem__)
-            eps2 = 2 * b.eps_rel
-
-            def apart(i, j):
-                return xs[j] - xs[i] > eps2 * max(1.0, abs(xs[i]), abs(xs[j]))
-
-            # a sweep from a point whose x-successor is apart ends at once
-            starts = [a for a, (i, j) in enumerate(zip(order, order[1:])) if not apart(i, j)]
-            equal = []
-            for a in starts:
-                i = order[a]
-                for c in range(a + 1, len(order)):
-                    j = order[c]
-                    if apart(i, j):
-                        break
-                    if points_equal(pts[i], pts[j], b):
-                        equal.append((min(i, j), max(i, j)))
-        if (pair := min((ij for ij in equal if ij[0] != ij[1]), default=None)) is not None:
-            raise DuplicatePoints(*pair)
+            xs, ys, eq = [p.x for p in self.points], [p.y for p in self.points], self.backend.eq
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        equal = []
+        for a, i in enumerate(order):
+            for j in map(order.__getitem__, range(a + 1, len(order))):
+                if not eq(xs[i], xs[j]):
+                    break
+                if eq(ys[i], ys[j]):
+                    equal.append((min(i, j), max(i, j)))
+        if equal:
+            raise DuplicatePoints(*min(equal))
 
     @classmethod
     def from_coords(cls, coords: Iterable, backend: Backend) -> "Configuration":
@@ -246,8 +236,8 @@ class Configuration(Frozen):
 
     @cached_property
     def grid(self) -> list[tuple[int, int]]:
-        """The points on their `integer_grid`, computed once: the exact pass,
-        the exact class names and the hull read it."""
+        """The points on their `integer_grid`, computed once: the exact
+        duplicate sweep, pass and class names and the hull read it."""
         return integer_grid(self.points)[1]
 
     @cached_property

@@ -5,8 +5,12 @@ backend stores coordinates as ``fractions.Fraction`` (always gcd-reduced with
 positive denominator) and compares them exactly; the float backend stores
 plain ``float`` values and treats two values as equal when
 
-    |a - b| <= eps_rel * max(1, |a|, |b|),  0 < eps_rel < 1.
+    |a - b| <= eps_rel * max(1, |a|, |b|),  0 < eps_rel < 1,
 
+that is ``math.isclose`` with eps_rel as both tolerances, so an infinity
+equals only itself.  Along ascending values, past the first b not equal to a
+no c equals a either: from b to c the gap grows by c - b, the bound by at
+most eps_rel (c - b).
 Direction decisions use the sine test of `geometry.turn` instead, with the
 same eps_rel.  Backends are small immutable objects carried by configurations,
 conics and reports, so every predicate states which comparison rule it uses.
@@ -14,6 +18,7 @@ conics and reports, so every predicate states which comparison rule it uses.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -68,7 +73,7 @@ class Backend(Frozen):
         """Backend equality of two scalars."""
         if self.exact:
             return a == b
-        return abs(a - b) <= self.eps_rel * max(1.0, abs(a), abs(b))
+        return math.isclose(a, b, rel_tol=self.eps_rel, abs_tol=self.eps_rel)
 
     def cmp(self, a, b) -> int:
         """Three-way comparison honouring the equality rule: -1, 0 or +1."""
@@ -80,14 +85,15 @@ class Backend(Frozen):
         """Whether a sum of terms is (tolerance-)zero.
 
         The float rule compares |sum| against eps_rel * max(1, |term_i|),
-        so cancellation of large terms is judged relative to their size.
+        so cancellation of large terms is judged relative to their size; a
+        non-finite total is never zero.
         """
         terms = list(terms)
         total = ordered_sum(terms)
         if self.exact:
             return total == 0
         scale = max([1.0] + [abs(t) for t in terms])
-        return abs(total) <= self.eps_rel * scale
+        return abs(total) <= self.eps_rel * scale < math.inf  # an inf bound has an inf or nan total
 
 
 def ordered_sum(terms):

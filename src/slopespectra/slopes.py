@@ -87,10 +87,12 @@ def forbidden_slope_table(config: Configuration) -> tuple[Without, ...]:
 
 def forbidden_slopes_at(config: Configuration, i: int) -> list[Direction]:
     """The directions of the classes that `forbidden_slope_table` lists at
-    point i: those no segment incident to point i realizes."""
+    point i: those no segment incident to point i realizes, in one pass over
+    the class table."""
     if not 0 <= i < len(config):
         raise IndexOutOfRange(f"point index {i} out of range")
-    return [config.direction_classes[k].direction for k in forbidden_slope_table(config)[i]]
+    return [cls.direction for cls in config.direction_classes
+            if all(i not in pair for pair in cls.pairs)]
 
 
 class Forbidden(Frozen):

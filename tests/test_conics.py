@@ -121,6 +121,12 @@ class TestMembership:
         parabola = Conic.from_coeffs((1, 0, 0, 0, -1, 0), EXACT)
         assert is_on_conic(parabola, Point(F(7), F(49)))
 
+    @pytest.mark.parametrize("p", [Point(1e200, 0.0), Point(1e200, 1e200)])
+    def test_float_far_point_off_unit_circle(self, p):
+        # x^2 + y^2 - 1 overflows to inf there, which is no zero of the form
+        circle = Conic.from_coeffs([1, 0, 1, 0, 0, -1], float_backend())
+        assert not is_on_conic(circle, p)
+
 
 class TestCoconic6:
     def test_parabola_exactly_zero(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slopespectra import (
     EXACT,
+    Configuration,
     Point,
     GeneratorSpec,
     SplitMix64,
@@ -344,6 +345,51 @@ class TestRejectionLoops:
         a, b, c, inner = *cfg.points[:3], cfg.points[-1]
         turn = orientation(a, b, c, EXACT)
         assert all(orientation(p, q, inner, EXACT) == turn for p, q in ((a, b), (b, c), (c, a)))
+
+    def test_noncollinear_draw_cap(self, monkeypatch):
+        # seed 1's first draw at bound 1 is refused, so one draw is too few
+        monkeypatch.setattr(generators, "_MAX_DRAWS", 1)
+        with pytest.raises(GenerationExhausted,
+                           match="^no non-collinear configuration after 1 draws$"):
+            random_noncollinear(3, 1, bound=1)
+
+    def test_convex_attempt_cap(self, monkeypatch):
+        # eight sorted coordinates from -1, 0, 1 repeat, so every attempt
+        # has a zero or a parallel edge; each attempt shuffles once
+        shuffles, real = [], SplitMix64.shuffle
+        monkeypatch.setattr(SplitMix64, "shuffle",
+                            lambda rng, seq: shuffles.append(1) or real(rng, seq))
+        monkeypatch.setattr(generators, "_MAX_CONVEX_ATTEMPTS", 3)
+        with pytest.raises(GenerationExhausted, match="^no convex configuration after 3 attempts$"):
+            random_convex_position(8, 1, bound=1)
+        assert len(shuffles) == 3
+
+    def test_interior_attempt_cap(self, monkeypatch):
+        # the first candidate of (5, 134, 1) is refused by general position
+        verdicts, real = [], generators.is_general_position
+        monkeypatch.setattr(generators, "is_general_position",
+                            lambda config: verdicts.append(real(config)) or verdicts[-1])
+        monkeypatch.setattr(generators, "_MAX_INTERIOR_ATTEMPTS", 1)
+        with pytest.raises(GenerationExhausted,
+                           match="^no interior point found after 1 attempts$"):
+            random_with_interior_point(5, 134, 1)
+        assert [ok for ok, _ in verdicts] == [False]
+
+    def test_interior_candidate_equal_to_outer_point(self, monkeypatch):
+        # the candidates depend only on the seed and the first three outer
+        # points, so an outer set that holds the first candidate skips it
+        tested, real = [], generators.is_general_position
+        monkeypatch.setattr(generators, "is_general_position",
+                            lambda config: tested.append(config.points[-1]) or real(config))
+        random_with_interior_point(5, 1)
+        first = tested[0]
+        outer = random_general_position(4, 1).points + (first,)
+        monkeypatch.setattr(generators, "random_general_position",
+                            lambda n, seed, bound: Configuration(outer, EXACT))
+        tested.clear()
+        cfg = random_with_interior_point(5, 1)
+        assert first not in tested
+        assert cfg.points[:5] == outer and tested == [cfg.points[5]]
 
     def test_exhausted(self):
         # a 3x3 lattice holds at most 6 points with no three in a line

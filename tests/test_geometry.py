@@ -281,7 +281,7 @@ class TestConfiguration:
                              ids=["inf", "-inf", "int", "fraction"])
     def test_float_backend_refuses_beyond_float_range(self, big):
         # an infinite coordinate would reach the hull as a float it cannot
-        # put on the integer grid, or equal every point for Backend.eq
+        # put on the integer grid
         with pytest.raises(BackendMismatch):
             Configuration.from_coords([(0, 0), (big, 9), (0.5, 3)], float_backend())
 

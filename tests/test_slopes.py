@@ -29,6 +29,7 @@ from slopespectra import (
     regular_polygon,
     slope_spectrum,
 )
+from slopespectra import slopes
 from slopespectra.errors import AllCollinear, IndexOrder, LemmaViolation, TooFewPoints
 
 from conftest import brute_slope_count, exact_config, parabola_config
@@ -116,6 +117,16 @@ class TestForbiddenSlopes:
         cfg = parabola_config([0, 1, 2, 3])
         dirs = forbidden_slopes_at(cfg, 0)
         assert [(d.dx, d.dy) for d in dirs] == [(1, 4), (1, 5)]
+
+    def test_one_point_builds_no_table_row(self, monkeypatch):
+        # one point's directions come from the class table, not from n rows
+        cfg = random_noncollinear(8, 1, bound=3)
+        table = forbidden_slope_table(cfg)
+        made, real = [], slopes.Without
+        monkeypatch.setattr(slopes, "Without", lambda *args: made.append(args) or real(*args))
+        for i, ks in enumerate(table):
+            assert forbidden_slopes_at(cfg, i) == [cfg.direction_classes[k].direction for k in ks]
+        assert made == []
 
     def test_table_counts_complement(self):
         several_at_one_point = 0

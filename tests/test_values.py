@@ -5,7 +5,9 @@ immutability, pickle and copy, and the checks in `__post_init__`."""
 import copy
 import dataclasses
 import functools
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,30 @@ class TestConstruction:
         pair_of_lines = Conic.from_coeffs((1, 0, -1, 0, 0, 0), EXACT)  # x^2 - y^2
         with pytest.raises(DegenerateConic):
             ConicGroup(pair_of_lines, Point(Fraction(0), Fraction(0)))
+
+
+class TestFloatBackendRules:
+    def test_infinity_equals_only_itself(self):
+        b = float_backend()
+        assert not b.eq(math.inf, 1.0) and not b.eq(-1e300, -math.inf)
+        assert not b.eq(math.inf, -math.inf) and b.eq(math.inf, math.inf)
+
+    @pytest.mark.parametrize("terms", [[math.inf], [-math.inf, 1.0], [math.inf, -math.inf],
+                                       [1e308, 1e308]], ids=["inf", "-inf", "nan", "overflow"])
+    def test_non_finite_sum_is_not_zero(self, terms):
+        assert not float_backend().sum_is_zero(terms)
+
+    def test_finite_equality_is_the_relative_bound(self):
+        # on finite values eq is |a - b| <= eps max(1, |a|, |b|), also one
+        # float step either side of the bound
+        rng, eps = random.Random(5), 1e-9
+        b = float_backend(eps)
+        for _ in range(2000):
+            a = rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+            c = a + rng.choice([0, 0.5, 0.99, 1, 1.01, 2]) * rng.choice([-eps, eps]) * max(1.0, abs(a))
+            c = rng.choice([c, math.nextafter(c, math.inf), math.nextafter(c, -math.inf)])
+            assert b.eq(a, c) == (abs(a - c) <= eps * max(1.0, abs(a), abs(c)))
+            assert b.sum_is_zero([a, -c]) == (abs(a - c) <= eps * max(1.0, abs(a), abs(c)))
 
 
 class TestState:
