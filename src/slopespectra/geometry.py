@@ -144,6 +144,10 @@ def _unit_direction(fx: float, fy: float) -> tuple[float, float, float]:
         fx, fy = -fx, -fy
     fy += 0.0  # -0.0 (a flipped or given zero) would give the angle -0.0
     h = math.hypot(fx, fy)
+    if h < 2.0 ** -1022 or h > 1.7976931348623157e308:  # subnormal, or overflowed to inf
+        s = 2.0 ** 60 if h < 1.0 else 0.5  # exact, and the direction is kept
+        fx, fy = fx * s, fy * s
+        h = math.hypot(fx, fy)
     fx, fy = fx / h, fy / h
     ang = math.atan2(fy, fx)
     if ang >= math.pi:

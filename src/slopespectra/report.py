@@ -1,9 +1,9 @@
 """Structured reports: stable key order, reproducible byte-for-byte.
 
 A report is a plain dict rendered either as indented JSON with sorted keys
-or as a flat "key: value" text block.  The report digest is computed over
-the canonical JSON with the timing field removed, so re-running the same
-command on the same inputs reproduces the digest even though timing varies.
+or as a flat "key: value" text block.  Its digest, sha256 of the canonical
+(compact) JSON without the timing field, is hashed as it is written
+(`_digest`), so the same command on the same inputs reproduces it.
 
 One walker, `_encoder`, writes both JSON forms and the text form's lists,
 byte for byte what `json.dumps(sort_keys=True)` writes with their
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -42,9 +42,7 @@ def point_json(p: Point):
 
 
 def direction_json(d: Direction):
-    if d.exact:
-        return {"dx": scalar_json(d.dx), "dy": scalar_json(d.dy)}
-    return {"angle": d.angle}
+    return {"dx": d.dx, "dy": d.dy} if d.exact else {"angle": d.angle}  # ints, primitive
 
 
 def conic_json(k: Conic):
@@ -119,6 +117,7 @@ def input_digest(data: bytes) -> str:
 
 def build_report(command: str, backend_kind: str, eps: float,
                  digest: str, payload: dict, timing_ms: float) -> dict:
+    """The report; its digest is hashed as `_digest` writes it: no canonical text."""
     report = {
         "command": command,
         "backend": backend_kind,
@@ -126,8 +125,7 @@ def build_report(command: str, backend_kind: str, eps: float,
         "input_sha256": digest,
         "payload": payload,
     }
-    canonical = _dumps(report, None)
-    report[DIGEST_KEY] = hashlib.sha256(canonical.encode()).hexdigest()
+    report[DIGEST_KEY] = _digest(report)
     report[TIMING_KEY] = round(timing_ms, 3)
     return report
 
@@ -252,6 +250,38 @@ def _dumps(obj, indent: int | None) -> str:
     `Without` dict value under no list is the list of its items (json's
     TypeError elsewhere).  The pieces go into one list, joined once."""
     return "".join(_encoder(indent, key_sep=":" if indent is None else ": ")(obj, []))
+
+
+def _digest(report: dict) -> str:
+    """sha256 of `_dumps(report, None)` as written: keys and scalars via a buffer hashed
+    before each `Without` row, a row as slices of one encoded text of its base's items."""
+    sha, buf, bases = hashlib.sha256(), [], {}
+
+    def walk(o) -> None:  # the report is a dict, so a row met here is under no list
+        if isinstance(o, Without):
+            if id(o.base) not in bases:
+                texts = ["".join(_C_ENCODE(v, 0)) for v in o.base]
+                bases[id(o.base)] = (memoryview(("," + ",".join(texts)).encode()),
+                                     [0, *accumulate(len(t) + 1 for t in texts)])
+            text, at = bases[id(o.base)]
+            sha.update(("".join(buf) + "[").encode())
+            buf[:] = ["]"]
+            skip = 1  # the "[" stands for the first kept item's comma
+            for a, b in zip((0, *map((1).__add__, o.holes)), (*o.holes, len(o.base))):
+                if a < b:
+                    sha.update(text[at[a] + skip:at[b]])
+                    skip = 0
+        elif isinstance(o, dict) and any(map(isinstance, o.values(), repeat(_NESTED))):
+            for i, k in enumerate(sorted(o)):
+                buf.append(("," if i else "{") + _key_text(k) + ":")
+                walk(o[k])
+            buf.append("}")
+        else:
+            buf.extend(_C_ENCODE(o, 0))
+
+    walk(report)
+    sha.update("".join(buf).encode())
+    return sha.hexdigest()
 
 
 def _flatten(prefix: str, value, out: list[str], encode) -> None:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopespectra import (
@@ -97,13 +97,20 @@ class TestDirection:
     @given(*[st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
                                         -sys.float_info.max, sys.float_info.min]),
                        st.floats(allow_nan=False, allow_infinity=False))] * 2)
+    @example(sys.float_info.max, sys.float_info.max)
     @settings(max_examples=500, derandomize=True)
     def test_float_angle_in_range(self, dx, dy):
         # finite vectors of any size: zeros of either sign, subnormals, the float maximum
         if dx == 0.0 and dy == 0.0:
             return
-        angle = direction_from_vector(dx, dy, float_backend()).angle
-        assert 0.0 <= angle < math.pi and math.copysign(1.0, angle) == 1.0
+        d = direction_from_vector(dx, dy, float_backend())
+        assert 0.0 <= d.angle < math.pi and math.copysign(1.0, d.angle) == 1.0
+        assert math.hypot(d.dx, d.dy) == pytest.approx(1.0, rel=4 * sys.float_info.epsilon)
+
+    def test_float_direction_of_a_vector_whose_length_overflows(self):
+        # |(-1.5e308, -1.5e308)| exceeds the float maximum; the direction is still 45 degrees
+        d = direction_from_vector(-1.5e308, -1.5e308, float_backend())
+        assert d.angle == math.pi / 4 and d.dx == d.dy > 0.0
 
     def test_float_horizontal_angle_is_positive_zero(self):
         # flipping a leftward vector negates its zero y; the angle must

@@ -1,7 +1,9 @@
 """Point-file grammar, backend inference, report reproducibility."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 from slopespectra import EXACT, parse_point_text, serialize_points, points_equal
 from slopespectra.errors import BackendMismatch, ParseError
-from slopespectra.generators import GeneratorSpec, regular_polygon
+from slopespectra.generators import GeneratorSpec, random_convex_position, regular_polygon
 from slopespectra import report as rep
-from slopespectra.slopes import Without
+from slopespectra.slopes import (Without, classify_criticality, forbidden_slope_table,
+                                 slope_spectrum)
 
 
 class TestParsing:
@@ -171,12 +174,27 @@ def columns(draw):
     return {"top": values, "deeper": [[values, values[:1]]]}
 
 
+def build(payload) -> dict:
+    return rep.build_report("analyze", "rational", 1e-9, "ab" * 32, payload, 1.234)
+
+
+def assert_digest(payload):
+    """`build_report`'s digest, hashed as it is written, is sha256 of the
+    canonical text of the report without its digest and timing."""
+    report = build(payload)
+    digest = report.pop(rep.DIGEST_KEY)
+    del report[rep.TIMING_KEY]
+    assert digest == hashlib.sha256(rep._dumps(report, None).encode()).hexdigest()
+
+
 def assert_json_dumps(value):
-    """Both JSON forms and the text form's lists are `json.dumps`'s text."""
+    """Both JSON forms and the text form's lists are `json.dumps`'s text,
+    and the digest of a report that holds the value is its canonical text's."""
     assert rep._dumps(value, 2) == json.dumps(value, sort_keys=True, indent=2)
     assert rep._dumps(value, None) == json.dumps(value, sort_keys=True, separators=(",", ":"))
     text_form = "".join(rep._encoder(item_sep=", ", key_sep=": ")(value, []))
     assert text_form == json.dumps(value, sort_keys=True)
+    assert_digest(value)
 
 
 class TestEncoder:
@@ -252,6 +270,8 @@ class TestEncoder:
                     json.dumps(value, sort_keys=True, indent=indent)
                 with pytest.raises(TypeError, match="^Object of type Fraction is not JSON"):
                     rep._dumps(value, indent)
+            with pytest.raises(TypeError, match="^Object of type Fraction is not JSON"):
+                build(value)
 
 
 def plain(value):
@@ -276,6 +296,7 @@ def rows_in_dicts(draw):
             "e": draw(JSON_VALUES), "f": draw(row)}
 
 
+TRICKY = ["},{", "],[", "\\", "\u00e9\U0001f600", {"k": "},{\\"}, ["],["]]
 NON_LEAVES = [[1, [2]], {"k": [LEAF]}, [], "s", LEAF]
 CLASSES = [{"direction": LEAF, "pairs": [[0, 1]]}, {"direction": {"dx": 3, "dy": 1},
            "pairs": [[0, 2], [1, 3]]}, {"direction": {"dx": 0, "dy": 1}, "pairs": []}]
@@ -290,6 +311,11 @@ class TestWithoutRows:
               "empty": Without([], ())})
     @example({"adjacent": Without(list(range(6)), (2, 3, 4)),
               "ends": Without(list(range(6)), (0, 5))})
+    # one-item bases, and items whose texts hold the separators, a
+    # backslash or non-ASCII text
+    @example({"kept": Without(["x"], ()), "hole": Without(["x"], (0,))})
+    @example({"a": Without(TRICKY, (1, 2)), "b": {"c": Without(TRICKY, (0, 5))},
+              "d": Without(TRICKY, ()), "e": Without(TRICKY, (0, 1, 2, 3, 4, 5))})
     # a base of non-leaf items, shared by rows at two depths
     @example({"a": Without(NON_LEAVES, (1,)),
               "b": {"c": Without(NON_LEAVES, (0, 4)), "d": {"e": Without(NON_LEAVES, ())}}})
@@ -302,6 +328,7 @@ class TestWithoutRows:
         assert rep._dumps(value, None) == json.dumps(lists, sort_keys=True,
                                                      separators=(",", ":"))
         assert rep.to_text({"payload": value}) == rep.to_text({"payload": lists})
+        assert_digest(value)
 
     def test_refused_outside_a_dict(self):
         row = Without([LEAF, 2], (1,))
@@ -310,3 +337,22 @@ class TestWithoutRows:
             for indent in (2, None):
                 with pytest.raises(TypeError, match="^Object of type Without is not JSON"):
                     rep._dumps(value, indent)
+            if value is not row:  # a report's payload is a dict value under no list
+                with pytest.raises(TypeError, match="^Object of type Without is not JSON"):
+                    build(value)
+
+    def test_digest_builds_no_canonical_text(self):
+        """The digest of an `analyze` report is hashed as it is written: the
+        peak of `build_report` stays below the length of the text it hashes."""
+        config = random_convex_position(30, 5)
+        payload = rep.analyze_json(slope_spectrum(config), forbidden_slope_table(config),
+                                   classify_criticality(config))
+        assert_digest(payload)
+        size = len(rep._dumps(build(payload), None))
+        tracemalloc.start()
+        try:
+            build(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
