@@ -24,16 +24,12 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+# each command runs only the submodules it calls (see the package docstring)
+from . import generators, regularity, render, slopes, verifier
 from . import report as rep
 from .errors import ParseError, SlopeSpectraError
-from .generators import GeneratorSpec
-from .geometry import Configuration
 from .pointfile import _parse_token, parse_point_text, serialize_points
-from .regularity import AffineMap
-from .render import parse_highlight, render_svg
 from .scalars import DEFAULT_EPS_REL, EXACT, float_backend
-from .slopes import classify_criticality, forbidden_slope_table, slope_spectrum
-from .verifier import classify_proof_case, verify_theorem
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,7 +94,7 @@ def _affine(text: str) -> tuple:
 def _highlight(text: str) -> str:
     """A --highlight value, checked against the grammar `render_svg` reads."""
     try:
-        parse_highlight(text)
+        render.parse_highlight(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
@@ -112,7 +108,8 @@ def _resolve_backend(args):
     return None  # infer from the file
 
 
-def _load(path: str, args) -> tuple[Configuration, str]:
+def _load(path: str, args) -> tuple:
+    """The Configuration in a point file and the sha256 of the file's bytes."""
     raw = Path(path).read_bytes()
     data = raw.removeprefix(codecs.BOM_UTF8)
     try:
@@ -123,8 +120,8 @@ def _load(path: str, args) -> tuple[Configuration, str]:
     return config, rep.input_digest(raw)
 
 
-def _report(command: str, config: Configuration, digest: str, payload: dict, t0: float) -> dict:
-    """The report of a command on one loaded file, timed from t0."""
+def _report(command: str, config, digest: str, payload: dict, t0: float) -> dict:
+    """The report of a command on one loaded Configuration, timed from t0."""
     return rep.build_report(command, config.backend.kind, config.backend.eps_rel,
                             digest, payload, (time.perf_counter() - t0) * 1e3)
 
@@ -145,8 +142,9 @@ def _add_common(sub) -> argparse.ArgumentParser:
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     config, digest = _load(args.file, args)
-    payload = rep.analyze_json(slope_spectrum(config), forbidden_slope_table(config),
-                               classify_criticality(config))
+    payload = rep.analyze_json(slopes.slope_spectrum(config),
+                               slopes.forbidden_slope_table(config),
+                               slopes.classify_criticality(config))
     _emit(_report("analyze", config, digest, payload, t0), args)
     return EXIT_OK
 
@@ -157,7 +155,7 @@ def _verify_one(path: str, args) -> dict:
     try:
         config, digest = _load(path, args)
         payload = {"n": len(config), "file": path,
-                   "verdict": rep.verdict_json(verify_theorem(config))}
+                   "verdict": rep.verdict_json(verifier.verify_theorem(config))}
     except (SlopeSpectraError, OSError) as exc:
         payload = {"file": path,
                    "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
@@ -180,6 +178,8 @@ def ProcessPoolExecutor(max_workers: int):
 def cmd_verify(args) -> int:
     verify = partial(_verify_one, args=args)
     if args.jobs > 1 and len(args.files) > 1:
+        for module in (rep, verifier):  # run them here, not once in each forked worker
+            vars(module)
         # the pool starts all its workers at once: no more than there are files
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
             results = list(pool.map(verify, args.files))
@@ -198,8 +198,8 @@ def cmd_generate(args) -> int:
     affine = None
     if args.affine:
         a, b, c, d, e, f = args.affine
-        affine = AffineMap(((a, b), (c, d)), (e, f))  # NonInvertible when singular
-    spec = GeneratorSpec(
+        affine = regularity.AffineMap(((a, b), (c, d)), (e, f))  # NonInvertible when singular
+    spec = generators.GeneratorSpec(
         polygon=args.polygon,
         random=args.random,
         delete=args.delete,
@@ -215,7 +215,7 @@ def cmd_generate(args) -> int:
 
 def cmd_render(args) -> int:
     config, _ = _load(args.file, args)
-    svg = render_svg(config, args.highlight)
+    svg = render.render_svg(config, args.highlight)
     if args.out:
         Path(args.out).write_text(svg)
     else:
@@ -227,7 +227,7 @@ def cmd_case(args) -> int:
     t0 = time.perf_counter()
     config, digest = _load(args.file, args)
     try:
-        case = classify_proof_case(config)
+        case = verifier.classify_proof_case(config)
     except SlopeSpectraError as exc:
         payload, code = {"n": len(config), "refusal": f"{type(exc).__name__}: {exc}"}, EXIT_REFUTED
     else:

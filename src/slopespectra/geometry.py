@@ -233,10 +233,18 @@ class Configuration(Frozen):
 
     def reordered(self, order: Sequence[int]) -> "Configuration":
         """The points at the given indices, in that order (a subset too);
-        IndexOutOfRange for an index outside 0 .. n-1."""
+        IndexOutOfRange for an index outside 0 .. n-1.  Points at distinct
+        indices are distinct, so only a repeated index runs the duplicate
+        sweep, which names the first equal pair of the result."""
         pts = self.points
         require_indices(order, len(pts))
-        return Configuration(tuple(pts[i] for i in order), self.backend)
+        points = tuple(pts[i] for i in order)
+        if len(set(order)) < len(order):
+            return Configuration(points, self.backend)
+        config = object.__new__(Configuration)
+        set_field(config, "points", points)
+        set_field(config, "backend", self.backend)
+        return config
 
     @cached_property
     def grid(self) -> list[tuple[int, int]]:

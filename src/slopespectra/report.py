@@ -22,11 +22,10 @@ from itertools import accumulate, chain, compress, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
-from .conics import Conic
+from . import verifier  # runs on a command's first verdict or case: analyze never runs it
 from .geometry import Direction, Point
 from .pointfile import format_scalar
 from .slopes import CriticalityReport, SlopeSpectrum, Without
-from .verifier import Certificate, ProofCase, Refutation
 
 TIMING_KEY = "timing_ms"
 DIGEST_KEY = "report_digest"
@@ -45,7 +44,8 @@ def direction_json(d: Direction):
     return {"dx": d.dx, "dy": d.dy} if d.exact else {"angle": d.angle}  # ints, primitive
 
 
-def conic_json(k: Conic):
+def conic_json(k):
+    """A `conics.Conic`: its six coefficients and whether it is degenerate."""
     a, b, c, d, e, f = (scalar_json(v) for v in k.coeffs)
     return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f,
             "degenerate": k.degenerate}
@@ -63,7 +63,7 @@ def spectrum_json(spec: SlopeSpectrum):
 
 
 def verdict_json(verdict):
-    if isinstance(verdict, Certificate):
+    if isinstance(verdict, verifier.Certificate):
         return {
             "kind": "certificate",
             "conic": conic_json(verdict.conic),
@@ -75,7 +75,7 @@ def verdict_json(verdict):
             "hull_order": verdict.hull_order,
             "full_chain_ok": verdict.full_chain_ok,
         }
-    assert isinstance(verdict, Refutation)
+    assert isinstance(verdict, verifier.Refutation)
     return {
         "kind": "refutation",
         "stage": verdict.stage.value,
@@ -84,7 +84,7 @@ def verdict_json(verdict):
     }
 
 
-def case_json(case: ProofCase):
+def case_json(case: verifier.ProofCase):
     return {
         "case": case.tag.value,
         "rotation": case.rotation,

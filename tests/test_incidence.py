@@ -430,6 +430,22 @@ class TestScaling:
         regular_polygon(1000)
         assert eq_calls[0] <= 2 * 1000
 
+    def test_subset_runs_no_duplicate_test(self, eq_calls):
+        # the points of a configuration are pairwise distinct, and so are any of them
+        polygon = regular_polygon(64)
+        eq_calls[0] = 0
+        deleted = delete_vertices(polygon, [0, 5])
+        assert eq_calls[0] == 0
+        assert deleted.points == polygon.points[1:5] + polygon.points[6:]
+
+    def test_repeated_index_names_the_first_equal_pair(self, eq_calls):
+        polygon = regular_polygon(64)
+        eq_calls[0] = 0
+        with pytest.raises(DuplicatePoints) as exc:
+            polygon.reordered([7, 3, 9, 3, 7])
+        assert exc.value.indices == (0, 4)
+        assert eq_calls[0] > 0
+
     def test_exact_duplicate_test_makes_none(self, eq_calls):
         cfg = random_general_position(200, 3)
         eq_calls[0] = 0
