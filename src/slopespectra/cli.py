@@ -109,7 +109,7 @@ def _resolve_backend(args):
 
 
 def _load(path: str, args) -> tuple:
-    """The Configuration in a point file and the sha256 of the file's bytes."""
+    """The Configuration in a point file and the file's bytes."""
     raw = Path(path).read_bytes()
     data = raw.removeprefix(codecs.BOM_UTF8)
     try:
@@ -117,13 +117,13 @@ def _load(path: str, args) -> tuple:
     except UnicodeDecodeError as exc:
         raise ParseError(data[:exc.start].count(b"\n") + 1, "not UTF-8 text") from exc
     config = parse_point_text(text, _resolve_backend(args), args.eps)
-    return config, rep.input_digest(raw)
+    return config, raw
 
 
-def _report(command: str, config, digest: str, payload: dict, t0: float) -> dict:
-    """The report of a command on one loaded Configuration, timed from t0."""
+def _report(command: str, config, raw: bytes, payload: dict, t0: float) -> dict:
+    """The report of a command on a loaded Configuration and its file's bytes, timed from t0."""
     return rep.build_report(command, config.backend.kind, config.backend.eps_rel,
-                            digest, payload, (time.perf_counter() - t0) * 1e3)
+                            rep.input_digest(raw), payload, (time.perf_counter() - t0) * 1e3)
 
 
 def _emit(report: dict, args) -> None:
@@ -141,11 +141,11 @@ def _add_common(sub) -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    config, digest = _load(args.file, args)
+    config, raw = _load(args.file, args)
     payload = rep.analyze_json(slopes.slope_spectrum(config),
                                slopes.forbidden_slope_table(config),
                                slopes.classify_criticality(config))
-    _emit(_report("analyze", config, digest, payload, t0), args)
+    _emit(_report("analyze", config, raw, payload, t0), args)
     return EXIT_OK
 
 
@@ -153,7 +153,7 @@ def _verify_one(path: str, args) -> dict:
     """The verify report of one file; an unreadable file gets an error verdict."""
     t0 = time.perf_counter()
     try:
-        config, digest = _load(path, args)
+        config, raw = _load(path, args)
         payload = {"n": len(config), "file": path,
                    "verdict": rep.verdict_json(verifier.verify_theorem(config))}
     except (SlopeSpectraError, OSError) as exc:
@@ -161,7 +161,7 @@ def _verify_one(path: str, args) -> dict:
                    "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
         return rep.build_report("verify", args.backend, args.eps, None, payload,
                                 (time.perf_counter() - t0) * 1e3)
-    return _report("verify", config, digest, payload, t0)
+    return _report("verify", config, raw, payload, t0)
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -225,14 +225,14 @@ def cmd_render(args) -> int:
 
 def cmd_case(args) -> int:
     t0 = time.perf_counter()
-    config, digest = _load(args.file, args)
+    config, raw = _load(args.file, args)
     try:
         case = verifier.classify_proof_case(config)
     except SlopeSpectraError as exc:
         payload, code = {"n": len(config), "refusal": f"{type(exc).__name__}: {exc}"}, EXIT_REFUTED
     else:
         payload, code = {"n": len(config), "proof_case": rep.case_json(case)}, EXIT_OK
-    _emit(_report("case", config, digest, payload, t0), args)
+    _emit(_report("case", config, raw, payload, t0), args)
     return code
 
 

@@ -7,14 +7,14 @@ in [0, pi).
 Every parallel, collinear and which-side decision is the sign of one cross
 product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 
-A configuration partitions its pairs into parallelism classes once
-(`Configuration.pair_classes`): the exact backend hashes every pair by its
-correctly rounded slope on the configuration's integer `grid`, with no gcd
-per pair; the float backend merges sorted pair angles.  General position
-and every slope count read that partition.  `Configuration.direction_classes`
-names it afterwards, one `Direction` and one `SlopeClass` per class: the
-table that the spectrum's classes, forbidden slopes and the chord dichotomy
-read.
+A configuration partitions its flat pair indices into parallelism classes
+once (`Configuration.pair_partition`): the exact backend hashes every pair
+by its correctly rounded slope on the integer `grid`, with no gcd per pair;
+the float backend merges sorted pair angles.  General position and every
+slope count read that partition.  `pair_classes` is its view as (i, j)
+pairs, and `direction_classes` names that, one `Direction` and one
+`SlopeClass` per class: the table that the spectrum's classes, forbidden
+slopes and the chord dichotomy read.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional, Sequence
 
 from ._frozen import Frozen, set_field
@@ -116,6 +116,12 @@ def integer_grid(points) -> tuple[int, list[tuple[int, int]]]:
     return z, list(zip(ints[:len(points)], ints[len(points):]))
 
 
+def _pair_ends(n: int) -> tuple[list[int], list[int]]:
+    """(I, J): the k-th pair of `combinations(range(n), 2)` is (I[k], J[k])."""
+    return (list(chain.from_iterable(map(repeat, range(n), range(n - 1, -1, -1)))),
+            list(chain.from_iterable(map(range, range(1, n + 1), repeat(n)))))
+
+
 def require_indices(indices: Iterable[int], n: int) -> None:
     """IndexOutOfRange for the first of the indices outside 0 .. n-1."""
     for i in indices:
@@ -165,7 +171,7 @@ def direction(p: Point, q: Point, backend: Backend) -> Direction:
 def turn(ux, uy, vx, vy, backend: Backend) -> int:
     """Sign of u x v: +1 ccw, -1 cw, 0 parallel; exact on rationals.  On floats
     0 iff |u x v| <= eps_rel |u| |v|, a sine bound that no scaling moves, with
-    the eps, in radians, within which `pair_classes` merges pair angles."""
+    the eps, in radians, within which `pair_partition` merges pair angles."""
     cross = ux * vy - uy * vx
     if backend.exact or abs(cross) > backend.eps_rel * math.hypot(ux, uy) * math.hypot(vx, vy):
         return (cross > 0) - (cross < 0)
@@ -253,22 +259,21 @@ class Configuration(Frozen):
         return integer_grid(self.points)[1]
 
     @cached_property
-    def pair_classes(self) -> tuple[PairClass, ...]:
-        """The parallelism classes of all pairs, unnamed: per class a
-        representative pair and the class's pairs (i, j), i < j, in
-        lexicographic order.
+    def pair_partition(self) -> tuple[list[int], ...]:
+        """The parallelism classes of all pairs, unnamed: per class a list of
+        flat pair indices, representative first; k is the k-th pair of
+        `combinations(range(n), 2)`.  The one O(n^2) pass, cached.
 
-        One O(n^2) pass, cached on the configuration.  Exact: each pair of
-        the `grid` is hashed by its correctly rounded slope, dy / dx when
-        |dx| >= |dy| and dx / dy in a second table otherwise, so parallel
-        pairs always share a key and no pair costs a gcd.  A bucket whose
-        pairs do not all `turn` 0 against its first (two slopes within a
-        rounding of each other) is split by `primitive_direction`, so no
-        input makes the pass worse than O(n^2).  The representative is the
-        first pair, and classes come in no promised order.  Float: sorted
-        pair angles in [0, pi) are merged when adjacent within eps_rel
-        radians, the pi/0 wraparound included; the representative is the
-        smallest (angle, i, j), and classes are sorted by angle.  Merging
+        Exact: each pair of the `grid` is hashed by its correctly rounded
+        slope, dy / dx when |dx| >= |dy| and dx / dy in a second table
+        otherwise, so parallel pairs always share a key and no pair costs a
+        gcd.  A bucket whose pairs do not all `turn` 0 against its first (two
+        slopes within a rounding of each other) is split by
+        `primitive_direction`, so no input makes the pass worse than O(n^2).
+        A class ascends from its representative; classes come in no promised
+        order.  Float: sorted pair angles in [0, pi) are merged when adjacent
+        within eps_rel radians, the pi/0 wraparound included; a class lists
+        its pairs by (angle, k), and classes are sorted by angle.  Merging
         follows the sorted order and is not transitively closed, which keeps
         the output deterministic.
         """
@@ -279,39 +284,45 @@ class Configuration(Frozen):
             # parallel pairs have one |dy| / |dx|, so one regime, and int / int
             # is correctly rounded, so one key; a bucket is its first pair
             # and, in `more`, the pairs that met it
-            flat: dict[float, tuple[int, int]] = {}
-            steep: dict[float, tuple[int, int]] = {}
-            more: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            flat: dict[float, int] = {}
+            steep: dict[float, int] = {}
+            more: dict[int, list[int]] = {}
+            k = 0
             for i, xi, yi in zip(range(n), xs, ys):
-                for j, xj, yj in zip(range(i + 1, n), xs[i + 1:], ys[i + 1:]):
+                for xj, yj in zip(xs[i + 1:], ys[i + 1:]):
                     dx, dy = xj - xi, yj - yi
-                    ij = (i, j)
-                    first = (flat.setdefault(dy / dx, ij) if abs(dx) >= abs(dy)
-                             else steep.setdefault(dx / dy, ij))
-                    if first is not ij:
-                        more.setdefault(first, []).append(ij)
-            classes = []
-            for first in chain(flat.values(), steep.values()):
-                rest = more.get(first, ())
-                if rest:
-                    i, j = first
-                    ux, uy = xs[j] - xs[i], ys[j] - ys[i]
-                    if any(turn(ux, uy, xs[k] - xs[h], ys[k] - ys[h], EXACT) for h, k in rest):
-                        split: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                        for h, k in (first, *rest):
-                            split.setdefault(primitive_direction(xs[k] - xs[h], ys[k] - ys[h]),
-                                             []).append((h, k))
-                        classes += ((ps[0], tuple(ps)) for ps in split.values())
-                        continue
-                classes.append((first, (first, *rest)))
+                    first = (flat.setdefault(dy / dx, k) if abs(dx) >= abs(dy)
+                             else steep.setdefault(dx / dy, k))
+                    if first != k:
+                        more.setdefault(first, []).append(k)
+                    k += 1
+            classes = [[k] for k in chain(flat.values(), steep.values()) if k not in more]
+            I, J = _pair_ends(n) if more else ((), ())
+            for first, rest in more.items():
+                ks = [first, *rest]
+                (ux, uy), *vs = vecs = [(xs[J[k]] - xs[I[k]], ys[J[k]] - ys[I[k]]) for k in ks]
+                if any(turn(ux, uy, vx, vy, EXACT) for vx, vy in vs):
+                    split: dict[tuple[int, int], list[int]] = {}
+                    for k, v in zip(ks, vecs):
+                        split.setdefault(primitive_direction(*v), []).append(k)
+                    classes += split.values()
+                else:
+                    classes.append(ks)
             return tuple(classes)
 
-        eps = b.eps_rel
+        eps, hypot, atan2, pi = b.eps_rel, math.hypot, math.atan2, math.pi
         xs, ys = [p.x for p in pts], [p.y for p in pts]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        angles = [_unit_direction(xj - xi, yj - yi)[2] for i, xi, yi in zip(range(n), xs, ys)
-                  for xj, yj in zip(xs[i + 1:], ys[i + 1:])]
-        # a stable sort on keys in pair order gives the (angle, i, j) order;
+        angles = []
+        for i, xi, yi in zip(range(n), xs, ys):
+            for xj, yj in zip(xs[i + 1:], ys[i + 1:]):
+                fx, fy = xj - xi, yj - yi  # `_unit_direction`'s angle, inlined
+                if fy < 0.0 or (fy == 0.0 and fx < 0.0):
+                    fx, fy = -fx, -fy
+                h = hypot(fx, fy)  # `_unit_direction` rescales a subnormal or infinite h
+                ang = (atan2((fy + 0.0) / h, fx / h) if 2.0 ** -1022 <= h <= 1.7976931348623157e308
+                       else _unit_direction(fx, fy)[2])
+                angles.append(ang - pi if ang >= pi else ang)
+        # a stable sort on keys in pair order gives the (angle, k) order;
         # a NaN angle (an overflowed difference) is a class of its own
         order = sorted(range(len(angles)), key=angles.__getitem__)
         ordered = [angles[k] for k in order]
@@ -319,10 +330,17 @@ class Configuration(Frozen):
         groups = [order[s:e] for s, e in zip([0] + cuts, cuts + [len(order)]) if s < e]
         # the last group may continue into the first across pi/0; either
         # way each group starts with its smallest key, in ascending order
-        if len(groups) > 1 and ordered[0] + math.pi - ordered[-1] <= eps:
+        if len(groups) > 1 and ordered[0] + pi - ordered[-1] <= eps:
             groups[0] += groups.pop()
-        return tuple((pairs[grp[0]], tuple(map(pairs.__getitem__, sorted(grp))))
-                     for grp in groups)
+        return tuple(groups)
+
+    @cached_property
+    def pair_classes(self) -> tuple[PairClass, ...]:
+        """`pair_partition` as (i, j) pairs: per class a representative and its sorted pairs."""
+        pairs = list(combinations(range(len(self.points)), 2))
+        return tuple([(p := pairs[ks[0]], (p,) if len(ks) == 1 else  # exact ones ascend
+                       tuple(map(pairs.__getitem__, ks if self.backend.exact else sorted(ks))))
+                      for ks in self.pair_partition])
 
     @cached_property
     def direction_classes(self) -> tuple[SlopeClass, ...]:
@@ -346,29 +364,31 @@ class Configuration(Frozen):
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Whether no class of `direction_classes` holds two segments at one
-    point: on exact input, whether no three points are collinear.
+    """Whether no class of `pair_partition` holds two segments at one point:
+    on exact input, whether no three points are collinear.
 
     Then each point meets n - 1 distinct classes, on either backend.  The
     rule reads only the class partition, which does not depend on how the
-    points are numbered, so neither does the verdict.  One pass over the
-    pairs, O(n^2).  On failure, also returns the lexicographically first
-    triple i < j < k two of whose segments share a class (on exact input,
-    the first collinear triple): the least, over such classes and their
-    points v, of v with its first two partners in the class.
+    points are numbered, so neither does the verdict.  One pass over its
+    pair indices, O(n^2), decoding only a failing class.  On failure, also
+    returns the lexicographically first triple i < j < k two of whose
+    segments share a class (on exact input, the first collinear triple):
+    the least, over such classes and their points v, of v with its first
+    two partners in the class.
     """
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    shared = [ks for ks in config.pair_partition if len(ks) > 1]
+    I, J = _pair_ends(n) if shared else ((), ())
     triples = []
-    for _, pairs in config.pair_classes:
-        # k pairs of which no two share a point touch 2k points
-        if len(pairs) > 1 and len(set(chain.from_iterable(pairs))) < 2 * len(pairs):
+    for ks in shared:
+        # m pairs of which no two share a point touch 2m points
+        if len({*map(I.__getitem__, ks), *map(J.__getitem__, ks)}) < 2 * len(ks):
             partners: dict[int, list[int]] = {}
-            for i, j in pairs:
-                partners.setdefault(i, []).append(j)
-                partners.setdefault(j, []).append(i)
-            # the pairs are in lexicographic order, so each partner list is sorted
+            for k in sorted(ks):  # lexicographic pair order, so each partner list is sorted
+                partners.setdefault(I[k], []).append(J[k])
+                partners.setdefault(J[k], []).append(I[k])
             triples += (tuple(sorted((v, ps[0], ps[1])))
                         for v, ps in partners.items() if len(ps) > 1)
     first = min(triples, default=None)

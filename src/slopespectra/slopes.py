@@ -1,11 +1,11 @@
 """Slope spectra, forbidden slopes, and the convex-chord dichotomy.
 
 The slope spectrum of a configuration is the partition of all point pairs
-into parallelism classes: the configuration's `pair_classes`, one O(n^2)
+into parallelism classes: the configuration's `pair_partition`, one O(n^2)
 pass on either backend.  A spectrum's count and the criticality class read
 that partition alone; its `classes` are the configuration's
-`direction_classes`, the partition named with one `SlopeClass` per class,
-built on first read, and every reader here shares those objects.
+`direction_classes`, its `pair_classes` view named with one `SlopeClass`
+per class, built on first read, and every reader here shares those objects.
 
 Forbidden slopes are the classes whose pairs miss a point, indexed as in
 `slope_spectrum(config).classes`.  A point's row is a `Without` view, every
@@ -26,7 +26,7 @@ from .geometry import Configuration, Direction, SlopeClass, is_general_position
 
 class SlopeSpectrum(Frozen):
     """All parallelism classes of a configuration, deterministically ordered:
-    counted from its `pair_classes`, named when `classes` is first read."""
+    counted from its `pair_partition`, named when `classes` is first read."""
 
     config: Configuration
 
@@ -36,7 +36,7 @@ class SlopeSpectrum(Frozen):
 
     @property
     def count(self) -> int:
-        return len(self.config.pair_classes)
+        return len(self.config.pair_partition)
 
 
 def slope_spectrum(config: Configuration) -> SlopeSpectrum:
@@ -165,7 +165,7 @@ def classify_criticality(config: Configuration) -> CriticalityReport:
     n = len(config)
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    count = len(config.pair_classes)
+    count = len(config.pair_partition)
     if count == 1:
         raise AllCollinear("all points lie on one line")
     gp, _ = is_general_position(config)

@@ -2,8 +2,8 @@
 cost in orientation tests counted rather than timed.
 
 The oracles here loop over pairs and triples with their own rational
-arithmetic; they share no code with `Configuration.pair_classes` or
-`Configuration.direction_classes`.
+arithmetic; they share no code with `Configuration.pair_partition`, its
+`pair_classes` view or `Configuration.direction_classes`.
 `tuple_pass`, the float pass as sorted (angle, i, j) tuples, shares its
 angle routine: it checks the pass's sort and merge, bit for bit.
 """
@@ -86,11 +86,21 @@ def brute_partition(config):
     return sorted(tuple(ps) for ps in classes.values())
 
 
+def decoded(cfg):
+    """`pair_partition` read with `combinations` order: index k is the k-th
+    pair, and each class's first index is its representative."""
+    pairs = list(itertools.combinations(range(len(cfg)), 2))
+    return [(pairs[ks[0]], tuple(sorted(pairs[k] for k in ks))) for ks in cfg.pair_partition]
+
+
 def assert_partition(cfg):
-    """`pair_classes` is the partition that `direction_classes` names: the
-    same pair tuples, each representative in its own class; float classes
-    in the same order."""
+    """`pair_classes` is `pair_partition` decoded, and the partition that
+    `direction_classes` names: the same pair tuples, each representative in
+    its own class; float classes in the same order."""
     unnamed = cfg.pair_classes
+    assert decoded(cfg) == list(unnamed)
+    if cfg.backend.exact:  # an exact class ascends from its representative
+        assert all(ks == sorted(ks) for ks in cfg.pair_partition)
     assert all(rep in pairs and list(pairs) == sorted(set(pairs)) for rep, pairs in unnamed)
     named = [cls.pairs for cls in cfg.direction_classes]
     if cfg.backend.exact:
@@ -341,6 +351,7 @@ class TestFloatPass:
                             (-big, big), (0.5, 0.25), (-1.5 * big, -1.5 * big)])
         assert any(math.isnan(c.direction.angle) for c in cfg.direction_classes)
         assert_same_pass(cfg)
+        assert_partition(cfg)
 
 
 @pytest.fixture
@@ -470,6 +481,14 @@ class TestScaling:
         verdict = verify_theorem(cfg)
         stage = Stage.SLOPE_COUNT if coords is None else Stage.CONVEX_POSITION
         assert verdict.stage is stage and made[0] == 0
+
+    def test_float_verify_reads_only_the_partition(self):
+        # general position and the slope count read flat pair indices: no
+        # pair tuple is decoded and no class is named
+        cfg = delete_vertices(regular_polygon(256), [0])
+        assert verify_theorem(cfg).full_chain_ok
+        assert "pair_partition" in vars(cfg)
+        assert "pair_classes" not in vars(cfg) and "direction_classes" not in vars(cfg)
 
     def test_exact_rounded_slopes_stay_quadratic(self, monkeypatch):
         # every slope 1 + (j + i) / 2^80 rounds to one key, and pairs with one

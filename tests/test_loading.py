@@ -105,7 +105,7 @@ def test_write_and_delete_run_the_module_first():
     (["generate", "--polygon", "9", "--delete", "1", "--affine", "1,2,3,4,5,6"],
      CLI_BASE | {"generators", "regularity", "conics"}),
     (["render", "{gon}", "--highlight", "conic"],
-     CLI_BASE | {"render", "report", "slopes", "conics"}),
+     CLI_BASE | {"render", "slopes", "conics"}),
 ], ids=["verify", "case", "analyze", "generate", "render"])
 def test_command_runs_only_what_it_calls(point_files, argv, expected):
     argv = [a.format(**point_files) for a in argv]
