@@ -10,11 +10,11 @@ product, `turn`: exact on rationals, a sine bound of eps_rel on floats.
 A configuration partitions its flat pair indices into parallelism classes
 once (`Configuration.pair_partition`): the exact backend hashes every pair
 by its correctly rounded slope on the integer `grid`, with no gcd per pair;
-the float backend merges sorted pair angles.  General position and every
-slope count read that partition.  `pair_classes` is its view as (i, j)
-pairs, and `direction_classes` names that, one `Direction` and one
-`SlopeClass` per class: the table that the spectrum's classes, forbidden
-slopes and the chord dichotomy read.
+the float backend merges sorted pair angles.  That partition is one of two
+class tables: verify, general position, slope counts and criticality read
+it.  `direction_classes` names it in one loop, one `Direction` and one
+`SlopeClass` of (i, j) pairs per class: the spectrum's classes, forbidden
+slopes, the chord dichotomy and render read that.
 
 Indices are 0-based throughout the library.  Cyclic index arithmetic is
 taken modulo n wherever an operation documents it.
@@ -82,10 +82,6 @@ class SlopeClass(Frozen):
     def __init__(self, direction, pairs):  # built per class
         set_field(self, "direction", direction)
         set_field(self, "pairs", pairs)
-
-
-# one parallelism class: a representative pair and the class's pairs
-PairClass = tuple[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def primitive_direction(ix: int, iy: int) -> tuple[int, int]:
@@ -335,32 +331,33 @@ class Configuration(Frozen):
         return tuple(groups)
 
     @cached_property
-    def pair_classes(self) -> tuple[PairClass, ...]:
-        """`pair_partition` as (i, j) pairs: per class a representative and its sorted pairs."""
-        pairs = list(combinations(range(len(self.points)), 2))
-        return tuple([(p := pairs[ks[0]], (p,) if len(ks) == 1 else  # exact ones ascend
-                       tuple(map(pairs.__getitem__, ks if self.backend.exact else sorted(ks))))
-                      for ks in self.pair_partition])
-
-    @cached_property
     def direction_classes(self) -> tuple[SlopeClass, ...]:
-        """The `pair_classes` named: a `SlopeClass` each, the canonical
-        direction of the class's representative pair and its pairs.
+        """`pair_partition` named in one loop: a `SlopeClass` per class, the
+        canonical direction of its representative pair and its sorted pairs.
 
         No second pass over the pairs: one `Direction` per class, on exact
         input from one gcd of the representative on the `grid`, and exact
         classes sorted by direction.  Float classes keep the angle order of
-        `pair_classes`.
+        `pair_partition`.
         """
+        pairs = list(combinations(range(len(self.points)), 2))
         if self.backend.exact:
             grid = self.grid
-            named = {primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1]): pairs
-                     for (i, j), pairs in self.pair_classes}
+            named: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+            for ks in self.pair_partition:  # an exact class ascends
+                i, j = p = pairs[ks[0]]
+                named[primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1])] = \
+                    (p,) if len(ks) == 1 else tuple(map(pairs.__getitem__, ks))
             return tuple(SlopeClass(Direction(*key, True), named[key]) for key in sorted(named))
         pts, b = self.points, self.backend
-        return tuple(SlopeClass(direction_from_vector(pts[j].x - pts[i].x,
-                                                      pts[j].y - pts[i].y, b), pairs)
-                     for (i, j), pairs in self.pair_classes)
+        classes = []
+        for ks in self.pair_partition:
+            i, j = p = pairs[ks[0]]
+            classes.append(SlopeClass(direction_from_vector(pts[j].x - pts[i].x,
+                                                            pts[j].y - pts[i].y, b),
+                                      (p,) if len(ks) == 1 else
+                                      tuple(map(pairs.__getitem__, sorted(ks)))))
+        return tuple(classes)
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:

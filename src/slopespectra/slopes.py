@@ -4,8 +4,8 @@ The slope spectrum of a configuration is the partition of all point pairs
 into parallelism classes: the configuration's `pair_partition`, one O(n^2)
 pass on either backend.  A spectrum's count and the criticality class read
 that partition alone; its `classes` are the configuration's
-`direction_classes`, its `pair_classes` view named with one `SlopeClass`
-per class, built on first read, and every reader here shares those objects.
+`direction_classes`, that partition named with one `SlopeClass` per class,
+built on first read, and every reader here shares those objects.
 
 Forbidden slopes are the classes whose pairs miss a point, indexed as in
 `slope_spectrum(config).classes`.  A point's row is a `Without` view, every

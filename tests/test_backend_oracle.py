@@ -6,7 +6,10 @@ them is at least 1 / (8 B^2): above eps_rel = 1e-9 for B <= 5000, where
 every product is exact in a double.  Distinct points differ by at least 1,
 more than eps_rel max(1, |a|, |b|).  So every float decision (duplicates,
 `turn`, the angle merge, the hull) is the exact one, and the float verdict
-must be the exact verdict: stage, reason and witness.
+must be the exact verdict: stage, reason and witness.  So must the
+`analyze` results that do not depend on how a backend encodes a direction
+or orders its classes: the spectrum's classes and each point's forbidden
+slopes as sets of pair sets, and the criticality class.
 
 Each backend's slope count is also held to two theorems: a non-collinear
 set of n points has at least 2 floor(n / 2) slopes (P. Ungar, "2N
@@ -19,7 +22,15 @@ The test reads only the public API.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopespectra import Refutation, is_general_position, slope_spectrum, verify_theorem
+from slopespectra import (
+    Refutation,
+    classify_criticality,
+    forbidden_slope_table,
+    is_general_position,
+    slope_spectrum,
+    verify_theorem,
+)
+from slopespectra.errors import SlopeSpectraError
 
 from conftest import exact_config, float_config
 
@@ -75,6 +86,24 @@ def partition(cfg):
     return {frozenset(ks) for ks in cfg.pair_partition}
 
 
+def spectrum_classes(cfg):
+    return {frozenset(cls.pairs) for cls in slope_spectrum(cfg).classes}
+
+
+def criticality(cfg):
+    try:
+        report = classify_criticality(cfg)
+    except SlopeSpectraError as exc:  # AllCollinear: one class
+        return type(exc)
+    return report.verdict, report.count, report.general_position
+
+
+def forbidden(cfg):
+    """Per point, its forbidden classes as a set of pair sets."""
+    classes = slope_spectrum(cfg).classes
+    return [{frozenset(classes[k].pairs) for k in row} for row in forbidden_slope_table(cfg)]
+
+
 @given(integer_sets())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_float_agrees_with_exact(points):
@@ -82,6 +111,9 @@ def test_float_agrees_with_exact(points):
     exact, approx = exact_config(points), float_config(points)
     assert verdict(verify_theorem(approx)) == verdict(verify_theorem(exact))
     assert partition(approx) == partition(exact)
+    assert spectrum_classes(approx) == spectrum_classes(exact)
+    assert criticality(approx) == criticality(exact)
+    assert forbidden(approx) == forbidden(exact)
     for cfg in (exact, approx):
         count = slope_spectrum(cfg).count
         assert count == 1 or count >= 2 * (n // 2)  # Ungar

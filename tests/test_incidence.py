@@ -2,8 +2,8 @@
 cost in orientation tests counted rather than timed.
 
 The oracles here loop over pairs and triples with their own rational
-arithmetic; they share no code with `Configuration.pair_partition`, its
-`pair_classes` view or `Configuration.direction_classes`.
+arithmetic; they share no code with the two class tables,
+`Configuration.pair_partition` and its naming `Configuration.direction_classes`.
 `tuple_pass`, the float pass as sorted (angle, i, j) tuples, shares its
 angle routine: it checks the pass's sort and merge, bit for bit.
 """
@@ -94,20 +94,21 @@ def decoded(cfg):
 
 
 def assert_partition(cfg):
-    """`pair_classes` is `pair_partition` decoded, and the partition that
-    `direction_classes` names: the same pair tuples, each representative in
-    its own class; float classes in the same order."""
-    unnamed = cfg.pair_classes
-    assert decoded(cfg) == list(unnamed)
+    """`direction_classes` names the partition that `pair_partition` holds:
+    the pair tuples of `decoded`, each representative in its own class;
+    float classes in the same order.  Each named class lists distinct pairs
+    in ascending order, and the classes cover every pair exactly once."""
+    unnamed = decoded(cfg)
     if cfg.backend.exact:  # an exact class ascends from its representative
         assert all(ks == sorted(ks) for ks in cfg.pair_partition)
-    assert all(rep in pairs and list(pairs) == sorted(set(pairs)) for rep, pairs in unnamed)
+    assert all(rep in pairs for rep, pairs in unnamed)
     named = [cls.pairs for cls in cfg.direction_classes]
+    assert all(list(pairs) == sorted(set(pairs)) for pairs in named)
     if cfg.backend.exact:
         assert sorted(pairs for _, pairs in unnamed) == sorted(named)
     else:
         assert [pairs for _, pairs in unnamed] == named
-    assert sorted(p for _, pairs in unnamed for p in pairs) == \
+    assert sorted(p for pairs in named for p in pairs) == \
         [(i, j) for i in range(len(cfg)) for j in range(i + 1, len(cfg))]
 
 
@@ -145,7 +146,7 @@ class TestAgainstBruteForce:
         triple = brute_first_collinear_triple(exact)
         for cfg in (exact, image):
             assert_partition(cfg)
-            assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(exact)
+            assert sorted(cls.pairs for cls in cfg.direction_classes) == brute_partition(exact)
             assert is_general_position(cfg) == (triple is None, triple)
 
             spectrum = slope_spectrum(cfg)
@@ -183,7 +184,7 @@ SIGNED_ZEROS = [(0.0, 0.0), (-0.0, 1.0), (1.0, -0.0), (-2.0, -0.0), (-0.0, -3.0)
 
 
 class TestPartition:
-    """`pair_classes` on pinned inputs where rounded slopes meet: the exact
+    """The partition on pinned inputs where rounded slopes meet: the exact
     pass must split what rounding joins, the float pass must keep signed
     zeros in one class."""
 
@@ -191,7 +192,7 @@ class TestPartition:
     def test_exact_buckets_split_by_direction(self, coords):
         cfg = exact_config(coords)
         assert_partition(cfg)
-        assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(cfg)
+        assert sorted(pairs for _, pairs in decoded(cfg)) == brute_partition(cfg)
         assert len(cfg.direction_classes) == brute_slope_count(cfg)
 
     def test_rounded_slopes_meet(self):
@@ -204,7 +205,7 @@ class TestPartition:
         cfg = float_config(SIGNED_ZEROS)
         exact = exact_config([(Fraction(x), Fraction(y)) for x, y in SIGNED_ZEROS])
         assert_partition(cfg)
-        assert sorted(pairs for _, pairs in cfg.pair_classes) == brute_partition(exact)
+        assert sorted(pairs for _, pairs in decoded(cfg)) == brute_partition(exact)
         assert_same_pass(cfg)
         assert all(cls.direction.angle == 0.0 and math.copysign(1, cls.direction.dy) == 1
                    for cls in cfg.direction_classes if cls.direction.dy == 0)
@@ -484,11 +485,10 @@ class TestScaling:
 
     def test_float_verify_reads_only_the_partition(self):
         # general position and the slope count read flat pair indices: no
-        # pair tuple is decoded and no class is named
+        # class is named, so no pair tuple is decoded
         cfg = delete_vertices(regular_polygon(256), [0])
         assert verify_theorem(cfg).full_chain_ok
-        assert "pair_partition" in vars(cfg)
-        assert "pair_classes" not in vars(cfg) and "direction_classes" not in vars(cfg)
+        assert "pair_partition" in vars(cfg) and "direction_classes" not in vars(cfg)
 
     def test_exact_rounded_slopes_stay_quadratic(self, monkeypatch):
         # every slope 1 + (j + i) / 2^80 rounds to one key, and pairs with one
@@ -509,10 +509,10 @@ class TestScaling:
 
         for name in calls:
             monkeypatch.setattr(slopespectra.geometry, name, counting(name))
-        classes = cfg.pair_classes
+        partition = cfg.pair_partition
         pairs = n * (n - 1) // 2
-        assert len(classes) == 2 * n - 3
-        assert all(len({i + j for i, j in ps}) == 1 for _, ps in classes)
+        assert len(partition) == 2 * n - 3
+        assert all(len({i + j for i, j in ps}) == 1 for _, ps in decoded(cfg))
         assert calls["turn"] < pairs and calls["primitive_direction"] == pairs
 
     def test_exact_hull_makes_none(self, orientation_calls):
