@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, count, repeat
 from typing import Iterable, Optional, Sequence
 
 from ._frozen import Frozen, set_field
@@ -322,7 +322,7 @@ class Configuration(Frozen):
         # a NaN angle (an overflowed difference) is a class of its own
         order = sorted(range(len(angles)), key=angles.__getitem__)
         ordered = [angles[k] for k in order]
-        cuts = [t for t in range(1, len(ordered)) if not ordered[t] - ordered[t - 1] <= eps]
+        cuts = [t for t, a, b in zip(count(1), ordered, ordered[1:]) if not b - a <= eps]
         groups = [order[s:e] for s, e in zip([0] + cuts, cuts + [len(order)]) if s < e]
         # the last group may continue into the first across pi/0; either
         # way each group starts with its smallest key, in ascending order
@@ -340,23 +340,19 @@ class Configuration(Frozen):
         classes sorted by direction.  Float classes keep the angle order of
         `pair_partition`.
         """
-        pairs = list(combinations(range(len(self.points)), 2))
-        if self.backend.exact:
-            grid = self.grid
-            named: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-            for ks in self.pair_partition:  # an exact class ascends
-                i, j = p = pairs[ks[0]]
-                named[primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1])] = \
-                    (p,) if len(ks) == 1 else tuple(map(pairs.__getitem__, ks))
-            return tuple(SlopeClass(Direction(*key, True), named[key]) for key in sorted(named))
         pts, b = self.points, self.backend
+        grid = self.grid if b.exact else None
+        pairs = list(combinations(range(len(pts)), 2))
         classes = []
-        for ks in self.pair_partition:
+        for ks in self.pair_partition:  # an exact class ascends already
             i, j = p = pairs[ks[0]]
-            classes.append(SlopeClass(direction_from_vector(pts[j].x - pts[i].x,
-                                                            pts[j].y - pts[i].y, b),
-                                      (p,) if len(ks) == 1 else
+            d = (Direction(*primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1]),
+                           True) if b.exact
+                 else direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b))
+            classes.append(SlopeClass(d, (p,) if len(ks) == 1 else
                                       tuple(map(pairs.__getitem__, sorted(ks)))))
+        if b.exact:
+            classes.sort(key=lambda c: (c.direction.dx, c.direction.dy))
         return tuple(classes)
 
 

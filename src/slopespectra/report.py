@@ -11,14 +11,14 @@ separators.  json's C encoder writes whole each value that holds no
 container; Python runs per dict that holds one and, indented, per column of
 like values in a list, not per value.  A row of the `analyze` forbidden
 table is a `Without` view over one list of class direction dicts, whose
-texts are made once and put in each row by reference.
+texts are made once and put in each row by reference, a slice per run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -218,13 +218,16 @@ def _encoder(indent: int | None = None, item_sep: str = ",", key_sep: str = ": "
         outer, inner, c_encode = levels.get(depth) or level(depth)
         if row_ok and isinstance(o, Without):
             texts = rows.get((id(o.base), depth))
-            if texts is None:  # each item's text, then a separator
-                texts = rows[id(o.base), depth] = [item_sep + inner] * (2 * len(o.base))
+            if texts is None:  # the items' texts with a separator between each two
+                texts = rows[id(o.base), depth] = [item_sep + inner] * (2 * len(o.base) - 1)
                 texts[::2] = column(o.base, depth + 1) if indented else \
                     map("".join, map(c_encode, o.base, repeat(0)))  # C writes a list item whole
-            out.append("[" + inner)
-            out.extend(compress(texts, o.mask(2)))
-            out[-1] = outer + "]" if len(o) else "[]"
+            head = "[" + inner
+            for a, b in o.runs():
+                out.append(head)
+                out += texts[2 * a:2 * b - 1]
+                head = item_sep + inner
+            out.append(outer + "]" if len(o) else "[]")
         elif isinstance(o, dict) and any(map(isinstance, o.values(), repeat(_NESTED))):
             head = "{" + inner
             for k in sorted(o):
@@ -267,10 +270,9 @@ def _digest(report: dict) -> str:
             sha.update(("".join(buf) + "[").encode())
             buf[:] = ["]"]
             skip = 1  # the "[" stands for the first kept item's comma
-            for a, b in zip((0, *map((1).__add__, o.holes)), (*o.holes, len(o.base))):
-                if a < b:
-                    sha.update(text[at[a] + skip:at[b]])
-                    skip = 0
+            for a, b in o.runs():
+                sha.update(text[at[a] + skip:at[b]])
+                skip = 0
         elif isinstance(o, dict) and any(map(isinstance, o.values(), repeat(_NESTED))):
             for i, k in enumerate(sorted(o)):
                 buf.append(("," if i else "{") + _key_text(k) + ":")

@@ -8,16 +8,16 @@ that partition alone; its `classes` are the configuration's
 built on first read, and every reader here shares those objects.
 
 Forbidden slopes are the classes whose pairs miss a point, indexed as in
-`slope_spectrum(config).classes`.  A point's row is a `Without` view, every
-class but the at most n - 1 that its pairs meet, so the table is O(n^2)
-objects though it lists O(n^3) entries.  The chord dichotomy reads the one
-class of its chord from the class table.
+`slope_spectrum(config).classes`.  A point's row is a `Without` view, the
+`runs()` of classes between the at most n - 1 that its pairs meet, so the
+table is O(n^2) objects though it lists O(n^3) entries.  The chord
+dichotomy reads the one class of its chord from the class table.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress
+from itertools import chain
 
 from ._frozen import Frozen
 from .errors import AllCollinear, IndexOrder, IndexOutOfRange, LemmaViolation, TooFewPoints
@@ -40,36 +40,35 @@ class SlopeSpectrum(Frozen):
 
 
 def slope_spectrum(config: Configuration) -> SlopeSpectrum:
-    """The parallelism classes of all pairs: `.classes` is
-    `config.direction_classes`, not a copy, named only when read."""
+    """The parallelism classes of all pairs, their pass run here: `.classes`
+    is `config.direction_classes`, not a copy, named only when read."""
     n = len(config)
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
+    config.pair_partition  # the pass, cached on the configuration
     return SlopeSpectrum(config)
 
 
 class Without(Frozen):
-    """The items of `base` except those at the ascending indices `holes`:
-    iterated, measured and `in`-tested like the tuple it stands for."""
+    """The items of `base` but those at the distinct ascending `holes`: its
+    `runs()`, iterated, measured and `in`-tested like the tuple it stands for."""
 
     base: tuple | list | range
     holes: tuple[int, ...]
 
-    def mask(self, width: int = 1) -> bytearray:
-        """`width` ones per item of `base`, zeros at the holes."""
-        mask, zero = bytearray(b"\1") * (width * len(self.base)), bytes(width)
-        for h in self.holes:
-            mask[width * h:width * h + width] = zero
-        return mask
+    def runs(self) -> list[tuple[int, int]]:
+        """The ascending spans (a, b) of kept items, `base[a:b]`, between holes."""
+        starts, ends = (0, *[h + 1 for h in self.holes]), (*self.holes, len(self.base))
+        return [(a, b) for a, b in zip(starts, ends) if a < b]
 
     def __iter__(self):
-        return compress(self.base, self.mask())
+        return chain.from_iterable(self.base[a:b] for a, b in self.runs())
 
     def __len__(self) -> int:
         return len(self.base) - len(self.holes)
 
     def __contains__(self, v) -> bool:
-        return v in self.base and self.base.index(v) not in self.holes
+        return any(v in self.base[a:b] for a, b in self.runs())
 
 
 def forbidden_slope_table(config: Configuration) -> tuple[Without, ...]:

@@ -12,18 +12,23 @@ with the package.
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from slopespectra import (
+    EXACT,
     Certificate,
+    Configuration,
     Refutation,
     Stage,
+    is_affinely_regular,
+    is_general_position,
     regular_polygon,
     slope_spectrum,
     verify_theorem,
 )
+from slopespectra.errors import SlopeSpectraError
 
 
 def restricted_sumset(S, m):
@@ -104,3 +109,44 @@ def test_untransformed_subsets(seed):
         kinds.append(expected[0])
     assert 0 < kinds.count("certificate") < len(kinds)
 
+
+class TestBelowSeven:
+    """How far the statement holds for n = 5 and 6, where the theorem does not apply."""
+
+    def test_residue_sets(self):
+        # |S + S| = n + 1 iff S is a coset of the subgroup of order n + 1 minus one element
+        checked, kinds = 0, set()
+        for n in (5, 6):
+            for m in range(6, 19):
+                for rest in combinations(range(1, m), n - 1):
+                    S = [0, *rest]
+                    coset = missing_coset_element(S, m) is not None
+                    assert (len(restricted_sumset(S, m)) == n + 1) == coset, (m, S)
+                    checked += 1
+                    kinds.add(coset)
+        assert checked == 27131 and kinds == {True, False}
+
+    def test_four_by_four_grid(self):
+        grid = [(x, y) for x in range(4) for y in range(4)]
+
+        def general_with(S, count):
+            config = Configuration.from_coords(S, EXACT)
+            return slope_spectrum(config).count == count and is_general_position(config)[0]
+
+        def completes(S):
+            """Whether A + B - C, for three of the points, makes S an affinely regular hexagon."""
+            for (ax, ay), (bx, by), (cx, cy) in permutations(S, 3):
+                try:
+                    config = Configuration.from_coords([*S, (ax + bx - cx, ay + by - cy)], EXACT)
+                    if is_affinely_regular(config).granted:
+                        return True
+                except SlopeSpectraError:  # a repeated point, or not in general or convex position
+                    pass
+            return False
+
+        fives = [S for S in combinations(grid, 5) if general_with(S, 6)]
+        assert len(fives) == 72
+        assert all(map(completes, fives))
+        # nor do six points in general position have 7 slopes: the statement would make
+        # them a rational affine image of the 7-gon minus a vertex, which Niven rules out
+        assert sum(general_with(S, 7) for S in combinations(grid, 6)) == 0

@@ -180,6 +180,21 @@ class TestForbiddenSlopes:
         assert sum(map(len, table)) == n * (n - 1) * (n - 2) // 2
 
 
+class TestWithout:
+    def test_runs_are_the_spans_between_holes(self):
+        assert slopes.Without(range(6), (0, 2, 3)).runs() == [(1, 2), (4, 6)]
+        assert slopes.Without(range(3), ()).runs() == [(0, 3)]
+        assert slopes.Without(range(2), (0, 1)).runs() == []
+
+    def test_repeated_item_kept_after_its_hole(self):
+        # membership is tested on the kept items, not at the first index of an item
+        for row, item in ((slopes.Without(["a", "b", "a"], (0,)), "a"),
+                          (slopes.Without([1, 1], (0,)), 1)):
+            assert list(row).count(item) == 1
+            assert item in row
+        assert "a" not in slopes.Without(["a", "b"], (0,))
+
+
 class TestLemma1Dichotomy:
     def test_parabola_parallel_witness(self):
         # chord-slope arithmetic: slope(A0 A3)=0+4=4=1+3=slope(A1 A2)

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,15 @@ def gon_minus(m, k=0):
     return delete_vertices(regular_polygon(m), [k])
 
 
+def residues_name_classes(config, residues):
+    """Whether (i, j) -> r_i + r_j mod n+1 takes one value on each slope
+    class and a different value on each class."""
+    m = len(config) + 1
+    sums = [{(residues[i] + residues[j]) % m for i, j in cls.pairs}
+            for cls in slope_spectrum(config).classes]
+    return all(len(s) == 1 for s in sums) and len(set().union(*sums)) == len(sums)
+
+
 class TestCertificates:
     def test_octagon_minus_vertex(self):
         cfg = gon_minus(8, 0)
@@ -68,6 +78,23 @@ class TestCertificates:
         assert isinstance(v, Certificate)
         n = len(cfg)
         assert sorted(v.residues) == list(range(n))  # {0..n} minus the vertex residue n
+
+    @pytest.mark.parametrize("m", [8, 11, 16, 23, 37, 59])
+    def test_residues_name_the_classes(self, m):
+        # the n + 1 classes are the residue sums of the (n+1)-gon's vertices;
+        # a certificate with two residues swapped names them no longer
+        certified = 0
+        for k, seed, delta in product((0, 3), range(4), (0, 1e-11)):
+            cfg = apply_affine(gon_minus(m, k), random_affine_map(seed, 5))
+            cfg = perturb(cfg, delta, seed) if delta else cfg
+            v = verify_theorem(cfg)
+            if isinstance(v, Certificate):
+                certified += 1
+                assert residues_name_classes(cfg, v.residues)
+                swapped = list(v.residues)
+                swapped[0], swapped[1] = swapped[1], swapped[0]
+                assert not residues_name_classes(cfg, swapped)
+        assert certified >= 9
 
     def test_group_data_rechecks(self):
         cfg = gon_minus(10, 3)
