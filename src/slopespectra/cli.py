@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 # each command runs only the submodules it calls (see the package docstring)
@@ -38,8 +37,7 @@ EXIT_REFUTED = 3
 ENV_EPS = "SLOPESPECTRA_EPS"
 
 # Exact input may hold integers of any length.  Lift Python's limit on
-# int/str conversion (4300 digits) for the CLI process; a --jobs worker
-# imports this module to run `_verify_one`, whatever the start method.
+# int/str conversion (4300 digits) for the CLI process.
 if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
     sys.set_int_max_str_digits(0)
 
@@ -149,44 +147,23 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(path: str, args) -> dict:
-    """The verify report of one file; an unreadable file gets an error verdict."""
-    t0 = time.perf_counter()
-    try:
-        config, raw = _load(path, args)
-        payload = {"n": len(config), "file": path,
-                   "verdict": rep.verdict_json(verifier.verify_theorem(config))}
-    except (SlopeSpectraError, OSError) as exc:
-        payload = {"file": path,
-                   "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
-        return rep.build_report("verify", args.backend, args.eps, None, payload,
-                                (time.perf_counter() - t0) * 1e3)
-    return _report("verify", config, raw, payload, t0)
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """A pool of worker processes for verify --jobs.
-
-    Imported here, not at the top: concurrent.futures loads multiprocessing,
-    logging, socket and pickle, which only verify --jobs with two or more
-    files needs.  Tests replace this name with an in-process pool.
-    """
-    from concurrent import futures
-    return futures.ProcessPoolExecutor(max_workers=max_workers)
-
-
 def cmd_verify(args) -> int:
-    verify = partial(_verify_one, args=args)
-    if args.jobs > 1 and len(args.files) > 1:
-        for module in (rep, verifier):  # run them here, not once in each forked worker
-            vars(module)
-        # the pool starts all its workers at once: no more than there are files
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.files))) as pool:
-            results = list(pool.map(verify, args.files))
-    else:
-        results = [verify(path) for path in args.files]
+    """Verify the files in order, in this process, whatever --jobs says; an
+    unreadable file gets a report with an error verdict."""
     kinds = set()
-    for report in results:
+    for path in args.files:
+        t0 = time.perf_counter()
+        try:
+            config, raw = _load(path, args)
+            verdict = rep.verdict_json(verifier.verify_theorem(config))
+        except (SlopeSpectraError, OSError) as exc:
+            payload = {"file": path,
+                       "verdict": {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}}
+            report = rep.build_report("verify", args.backend, args.eps, None, payload,
+                                      (time.perf_counter() - t0) * 1e3)
+        else:
+            report = _report("verify", config, raw,
+                             {"n": len(config), "file": path, "verdict": verdict}, t0)
         _emit(report, args)
         kinds.add(report["payload"]["verdict"]["kind"])
     if "error" in kinds:
@@ -255,7 +232,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p = subs.add_parser("verify", help="certify or refute the (n+1)-slope property")
     p.add_argument("files", nargs="+")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="verify files in parallel processes")
+                   help="accepted for older command lines; verify runs its files in "
+                        "order in one process whatever N is")
     common.append(_add_common(p))
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=cmd_verify)

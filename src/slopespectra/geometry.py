@@ -332,28 +332,29 @@ class Configuration(Frozen):
 
     @cached_property
     def direction_classes(self) -> tuple[SlopeClass, ...]:
-        """`pair_partition` named in one loop: a `SlopeClass` per class, the
-        canonical direction of its representative pair and its sorted pairs.
+        """`pair_partition` named: a `SlopeClass` per class, the canonical
+        direction of its representative pair and its sorted pairs.
 
         No second pass over the pairs: one `Direction` per class, on exact
         input from one gcd of the representative on the `grid`, and exact
-        classes sorted by direction.  Float classes keep the angle order of
+        classes sorted by direction, as plain (dx, dy) tuples before any
+        value object is built.  Float classes keep the angle order of
         `pair_partition`.
         """
         pts, b = self.points, self.backend
         grid = self.grid if b.exact else None
         pairs = list(combinations(range(len(pts)), 2))
-        classes = []
+        named = []
         for ks in self.pair_partition:  # an exact class ascends already
-            i, j = p = pairs[ks[0]]
-            d = (Direction(*primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1]),
-                           True) if b.exact
-                 else direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b))
-            classes.append(SlopeClass(d, (p,) if len(ks) == 1 else
-                                      tuple(map(pairs.__getitem__, sorted(ks)))))
-        if b.exact:
-            classes.sort(key=lambda c: (c.direction.dx, c.direction.dy))
-        return tuple(classes)
+            i, j = pairs[ks[0]]
+            named.append((primitive_direction(grid[j][0] - grid[i][0], grid[j][1] - grid[i][1])
+                          if b.exact else
+                          direction_from_vector(pts[j].x - pts[i].x, pts[j].y - pts[i].y, b), ks))
+        if b.exact:  # (dx, dy) is unique per class: sort plain tuples, then build values
+            named.sort(key=operator.itemgetter(0))
+            named = [(Direction(dx, dy, True), ks) for (dx, dy), ks in named]
+        return tuple(SlopeClass(d, (pairs[ks[0]],) if len(ks) == 1 else
+                                tuple(map(pairs.__getitem__, sorted(ks)))) for d, ks in named)
 
 
 def is_general_position(config: Configuration) -> tuple[bool, Optional[tuple[int, int, int]]]:

@@ -118,7 +118,7 @@ class TestVerify:
                                       "error": "DuplicatePoints: points 0 and 2 coincide"}
 
     def test_jobs_under_python_m(self, instance_file, tmp_path):
-        """The real pool, with cli as __main__ as users and perfbench start it."""
+        """--jobs 2 with cli as __main__, as users and perfbench start it."""
         bad = tmp_path / "bad.txt"
         bad.write_text("0 0\n1 0\n0 0\n2 3\n")
         proc = subprocess.run(
@@ -132,7 +132,7 @@ class TestVerify:
         assert verdicts[str(bad)]["kind"] == "error"
 
     def test_jobs_with_integers_of_any_length(self, instance_file, tmp_path):
-        """A worker reads a 5000-digit integer, past Python's default limit."""
+        """With --jobs 2, a 5000-digit integer (past Python's default limit) reads."""
         big = tmp_path / "big.txt"
         big.write_text("0 0\n1 0\n2 1\n3 3\n1 5\n-2 4\n" + "9" * 5000 + " 1\n")
         proc = subprocess.run(
@@ -157,14 +157,20 @@ class TestVerify:
         assert docs[1]["payload"]["verdict"]["kind"] == "error"
         assert "BackendMismatch" in docs[1]["payload"]["verdict"]["error"]
 
-    def test_jobs_capped_by_file_count(self, instance_file, capsys, monkeypatch):
-        from slopespectra import cli
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "started", [])
-        code, out, _ = run(capsys, "verify", instance_file, instance_file, "--jobs", "64")
-        assert code == EXIT_OK and out.count("command: verify") == 2
-        assert InProcessPool.started == [2]
+    def test_jobs_changes_no_output(self, instance_file, tmp_path, capsys):
+        """verify runs in one process whatever --jobs says: the same reports
+        in the same order, and the same exit code."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 0\n1 0\n0 0\n2 3\n")
+        results = []
+        for extra in ([], ["--jobs", "2"]):
+            code, out, err = run(capsys, "verify", instance_file, str(bad), "--json", *extra)
+            docs = [json.loads(doc + "}") for doc in out.split("\n}\n") if doc.strip()]
+            for doc in docs:
+                del doc["timing_ms"]
+            results.append((code, docs, err))
+        assert results[0] == results[1]
+        assert results[0][0] == EXIT_ERROR and len(results[0][1]) == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
     def test_jobs_below_one_is_usage_error(self, instance_file, capsys, jobs):
@@ -395,8 +401,8 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_no_process_pool_at_start(self, instance_file, tmp_path, capsys):
-        """Only verify --jobs with two or more files imports the process pool,
-        and no command imports dataclasses or inspect."""
+        """No command imports the process pool, verify --jobs on two files
+        included, and none imports dataclasses or inspect."""
         octagon = tmp_path / "octagon.txt"
         main(["generate", "--polygon", "8"])
         octagon.write_text(capsys.readouterr().out)
@@ -405,6 +411,7 @@ class TestImports:
                 "sys.modules['dataclasses'] = None; sys.modules['inspect'] = None; "
                 "from slopespectra.cli import main; good, other = sys.argv[1:]; "
                 "codes = [main(['verify', good, '--json']), main(['verify', good, other]), "
+                "main(['verify', good, other, '--jobs', '2']), "
                 "main(['analyze', good]), main(['case', good]), "
                 "main(['render', good, '--highlight', 'conic']), "
                 "main(['generate', '--polygon', '8']), main(['generate', '--random', '8'])]; "
@@ -412,7 +419,7 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code, instance_file, str(octagon)],
                               env=CHILD_ENV, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip() == str([EXIT_OK, EXIT_REFUTED] + [EXIT_OK] * 5)
+        assert proc.stderr.strip() == str([EXIT_OK, EXIT_REFUTED, EXIT_REFUTED] + [EXIT_OK] * 5)
 
 
 class TestEnvEps:
@@ -439,25 +446,6 @@ class TestEnvEps:
         code, out, err = run_to_exit(capsys, "verify", instance_file, "--json")
         assert code == 2 and out == ""
         assert err.count("error:") == 1 and "SLOPESPECTRA_EPS" in err
-
-
-class InProcessPool:
-    """A process-pool stand-in: records each requested worker count and
-    runs the work in this process."""
-
-    started = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
 
 
 def without_timing(json_out):
@@ -489,17 +477,6 @@ class TestParserReuse:
         assert code == EXIT_OK and len(out.splitlines()) == 6
         code, out, _ = run(capsys, "generate", "--polygon", "8")
         assert code == EXIT_OK and len(out.splitlines()) == 8
-
-    def test_jobs_does_not_carry_over(self, instance_file, capsys, monkeypatch):
-        from slopespectra import cli
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "started", [])
-        code, _, _ = run(capsys, "verify", instance_file, instance_file, "--jobs", "2")
-        assert code == EXIT_OK and InProcessPool.started == [2]
-        code, out, _ = run(capsys, "verify", instance_file, instance_file)
-        assert code == EXIT_OK and out.count("command: verify") == 2
-        assert InProcessPool.started == [2]
 
     def test_usage_error_and_help_leave_no_state(self, instance_file, capsys):
         code, first, _ = run(capsys, "verify", instance_file, "--json")

@@ -1,4 +1,5 @@
-"""Exceptions survive pickling, as they must to cross a process pool."""
+"""Exceptions survive pickling, so a library caller may send them through
+a process pool of its own."""
 
 import pickle
 

@@ -98,48 +98,25 @@ def test_write_and_delete_run_the_module_first():
     assert out == f"patched False {ran}\n"
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["verify", "{gon}", "--json"], CLI_BASE | VERIFIER | {"report"}),
-    (["case", "{gon}"], CLI_BASE | VERIFIER | {"report"}),
-    (["analyze", "{random}", "--json"], CLI_BASE | {"report", "slopes"}),
+@pytest.mark.parametrize("argv, expected, code", [
+    (["verify", "{gon}", "--json"], CLI_BASE | VERIFIER | {"report"}, EXIT_OK),
+    (["verify", "{gon}", "{random}", "--jobs", "2"], CLI_BASE | VERIFIER | {"report"},
+     EXIT_REFUTED),
+    (["case", "{gon}"], CLI_BASE | VERIFIER | {"report"}, EXIT_OK),
+    (["analyze", "{random}", "--json"], CLI_BASE | {"report", "slopes"}, EXIT_OK),
     (["generate", "--polygon", "9", "--delete", "1", "--affine", "1,2,3,4,5,6"],
-     CLI_BASE | {"generators", "regularity", "conics"}),
+     CLI_BASE | {"generators", "regularity", "conics"}, EXIT_OK),
     (["render", "{gon}", "--highlight", "conic"],
-     CLI_BASE | {"render", "slopes", "conics"}),
-], ids=["verify", "case", "analyze", "generate", "render"])
-def test_command_runs_only_what_it_calls(point_files, argv, expected):
+     CLI_BASE | {"render", "slopes", "conics"}, EXIT_OK),
+], ids=["verify", "verify-jobs", "case", "analyze", "generate", "render"])
+def test_command_runs_only_what_it_calls(point_files, argv, expected, code):
     argv = [a.format(**point_files) for a in argv]
     out = child("import io\n"
                 "from slopespectra.cli import main\n"
                 "sys.stdout, stdout = io.StringIO(), sys.stdout\n"
                 "code = main(sys.argv[1:])\n"
                 "print(code, run(), file=stdout)\n", *argv)
-    assert out.strip() == f"{EXIT_OK} {sorted(expected)}"
-
-
-def test_jobs_workers_inherit_what_they_run(point_files):
-    """verify --jobs runs what `_verify_one` calls before the pool starts,
-    so forked workers do not each compile it.  The pool is an in-process
-    double that reports what has run when it starts."""
-    out = child("import io\n"
-                "from slopespectra import cli\n"
-                "class InProcessPool:\n"
-                "    def __init__(self, max_workers):\n"
-                "        print(run(), file=stdout)\n"
-                "    def __enter__(self):\n"
-                "        return self\n"
-                "    def __exit__(self, *exc):\n"
-                "        return False\n"
-                "    def map(self, fn, items):\n"
-                "        return map(fn, items)\n"
-                "cli.ProcessPoolExecutor = InProcessPool\n"
-                "sys.stdout, stdout = io.StringIO(), sys.stdout\n"
-                "print(run(), file=stdout)\n"
-                "print(cli.main(['verify', *sys.argv[1:], '--jobs', '2']), file=stdout)\n",
-                point_files["gon"], point_files["random"])
-    assert out.splitlines() == [str(sorted(CLI_BASE)),
-                                str(sorted(CLI_BASE | VERIFIER | {"report"})),
-                                str(EXIT_REFUTED)]
+    assert out.strip() == f"{code} {sorted(expected)}"
 
 
 def test_first_use_is_thread_safe():
