@@ -11,6 +11,7 @@ Run:  python3 demos/04_verify_theorem.py
 """
 
 from slopespectra import (
+    AffineMap,
     Certificate,
     apply_affine,
     delete_vertices,
@@ -31,12 +32,19 @@ print(f"  certificate: gap after hull position {verdict.gap_position}")
 print(f"  reconstructed vertex: {verdict.missing_vertex.as_floats()}")
 print(f"  residues (index -> multiple of the generator): {verdict.residues}")
 
-# The certificate survives any invertible affine map, because every stage
-# (parallelism, conic membership, the group law) is affine-invariant.
+# The theorem is affine-invariant, and so are the exact stages: general and
+# convex position and conic degeneracy.  The float stages after them compare
+# against an absolute tolerance floor, so a float verdict still depends on
+# scale: images scaled by 1e-6 to 1e3 certify, while 1e6 and 1e9 are refuted
+# at Reconstruction, where the group law meets that floor (ROADMAP item C1c).
 image = apply_affine(instance, random_affine_map(5))
 v2 = verify_theorem(image)
 print(f"\nrandom affine image: {type(v2).__name__}, "
       f"vertex at {v2.missing_vertex.as_floats()}")
+for scale in (1e-6, 1e3, 1e6, 1e9):
+    r = verify_theorem(apply_affine(instance, AffineMap(((scale, 0.0), (0.0, scale)), (0.0, 0.0))))
+    print(f"scaled by {scale:g}: {type(r).__name__}"
+          + ("" if isinstance(r, Certificate) else f" at stage {r.stage.value}"))
 
 # Negative controls: each refutation points at its stage.
 for label, config in [

@@ -62,23 +62,16 @@ def _normalize_coeffs(raw, backend: Backend):
     return tuple(vals)
 
 
-def _det3_terms(backend: Backend, a, b, c, d, e, f):
-    # symmetric matrix [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]],
-    # cofactor expansion kept as a term list for tolerance scaling
-    half = backend.coerce(Fraction(1, 2))
-    b2, d2, e2 = b * half, d * half, e * half
-    return [
-        a * c * f,
-        -a * e2 * e2,
-        -b2 * b2 * f,
-        b2 * e2 * d2,
-        d2 * b2 * e2,
-        -d2 * c * d2,
-    ]
+def _singular(a, b, c, d, e, f) -> bool:
+    """Whether the integer conic is degenerate: the doubled matrix
+    [[2a, b, d], [b, 2c, e], [d, e, 2f]] is singular (its determinant is
+    twice this sum).  Exact, and unchanged by scaling the coefficients."""
+    return 4 * a * c * f - a * e * e - b * b * f + b * d * e - c * d * d == 0
 
 
 class Conic(Frozen):
-    """A normalized 6-coefficient conic with cached degeneracy status."""
+    """A normalized 6-coefficient conic and whether it is degenerate, decided
+    exactly by `_singular` on the coefficients before normalization."""
 
     coeffs: tuple
     backend: Backend
@@ -87,8 +80,8 @@ class Conic(Frozen):
     @classmethod
     def from_coeffs(cls, raw, backend: Backend) -> "Conic":
         coeffs = _normalize_coeffs(raw, backend)
-        degenerate = backend.sum_is_zero(_det3_terms(backend, *coeffs))
-        return cls(coeffs, backend, degenerate)
+        # a float is an exact dyadic rational, so this is exact on both backends
+        return cls(coeffs, backend, _singular(*common_denominator(raw)[1]))
 
     def terms_at(self, p: Point) -> list:
         a, b, c, d, e, f = self.coeffs
@@ -163,8 +156,8 @@ def conic_through_5(points, backend: Backend) -> Conic:
     """The unique conic through five points, no three collinear.
 
     Both backends fit exactly: the coefficients are the integer kernel of
-    the five incidence rows; the float backend rounds only the final
-    coefficients.
+    the five incidence rows, and `_singular` decides degeneracy on that
+    kernel; the float backend rounds only the final coefficients.
     """
     points = list(points)
     if len(points) != 5:
@@ -173,15 +166,16 @@ def conic_through_5(points, backend: Backend) -> Conic:
     coeffs = _kernel(_incidence_rows(points)[1])
     if coeffs is None:
         raise RankDeficient("incidence matrix has rank < 5")
-    if backend.exact:
-        return Conic.from_coeffs(coeffs, backend)
-    # one representative per conic, its last nonzero coefficient positive:
-    # the float normalization signs the zero coefficients too; int / int is
-    # correctly rounded, so any integer multiple of the kernel gives these bits
-    nonzero = [v for v in coeffs if v != 0]
-    top = max(map(abs, nonzero))  # keeps the float images in range
-    sign = 1 if nonzero[-1] > 0 else -1
-    return Conic.from_coeffs([sign * v / top for v in coeffs], backend)
+    degenerate = _singular(*coeffs)
+    if not backend.exact:
+        # one representative per conic, its last nonzero coefficient positive:
+        # the float normalization signs the zero coefficients too; int / int is
+        # correctly rounded, so any integer multiple of the kernel gives these bits
+        nonzero = [v for v in coeffs if v != 0]
+        top = max(map(abs, nonzero))  # keeps the float images in range
+        sign = 1 if nonzero[-1] > 0 else -1
+        coeffs = [sign * v / top for v in coeffs]
+    return Conic(_normalize_coeffs(coeffs, backend), backend, degenerate)
 
 
 def coconic_determinant(points, backend: Backend):

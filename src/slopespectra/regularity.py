@@ -119,16 +119,16 @@ def convex_polygon(config: Configuration) -> tuple[tuple[int, ...], list[Point]]
 
 def common_conic(pts: Sequence[Point], order: Sequence[int], backend: Backend
                  ) -> tuple[Conic, Optional[str], Optional[int]]:
-    """(conic, None, None) when the points, in hull order, lie on the non-degenerate
-    conic through the first five; else (that conic, the reason, the input index
-    from `order` of the first point off it or None).  The points must be the hull
-    of a configuration in general and convex position (`convex_polygon`), so the
-    fit cannot fail: five of them keep general position, their slope classes
-    refining the configuration's, and have incidence rank 5, no three of them
-    being collinear on their exact grid."""
+    """(conic, None, None) when the points, in hull order, lie on the conic
+    through the first five; else (that conic, the reason, the input index from
+    `order` of the first point off it).  The points must be the hull of a
+    configuration in general and convex position (`convex_polygon`), so the fit
+    cannot fail: five of them keep general position, their slope classes
+    refining the configuration's, and have incidence rank 5.  The conic is
+    non-degenerate: the hull's turns are strict on the exact grid, so no three
+    of its points are collinear, and a line pair through five points holds
+    three of them on one line."""
     conic = conic_through_5(pts[:5], backend)
-    if conic.degenerate:
-        return conic, "conic through the first five hull points is degenerate", None
     for pos, p in enumerate(pts):
         if not is_on_conic(conic, p):
             return conic, f"point {order[pos]} is off the common conic", order[pos]

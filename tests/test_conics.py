@@ -8,7 +8,7 @@ can be checked against rational arithmetic on parameters.
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from slopespectra import (
     Applicable,
+    Configuration,
     Conic,
     ConicGroup,
     EXACT,
@@ -25,12 +26,14 @@ from slopespectra import (
     coconic_6,
     coconic_determinant,
     conic_through_5,
+    convex_position_order,
     float_backend,
     group_add,
     group_neg,
     group_scalar_mul,
     is_on_conic,
     pascal_parallel_coconic,
+    random_convex_position,
     second_intersection,
     tangent_direction,
     direction_from_vector,
@@ -109,6 +112,50 @@ class TestConicThrough5:
                Point(1.0, 1.0 + 1e-15)]
         with pytest.raises((RankDeficient, CollinearTriple, Exception)):
             conic_through_5(pts, b)
+
+
+def conic_matrix_det(a, b, c, d, e, f) -> Fraction:
+    """det [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]], along the first row."""
+    h = F(1, 2)
+    return (a * (c * f - h * e * h * e) - h * b * (h * b * f - h * e * h * d)
+            + h * d * (h * b * h * e - c * h * d))
+
+
+class TestDegeneracy:
+    """One exact rule on both backends: the doubled coefficient matrix is
+    singular.  Verify's hull is in strictly convex position on its exact
+    grid, so no three of its points are collinear, and the conic through
+    any five of them cannot be degenerate (a line pair through five points
+    holds three of them on one line)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hull_conics_are_never_degenerate(self, seed):
+        exact = random_convex_position(12, seed)
+        coords = [(float(p.x), float(p.y)) for p in exact.points]
+        for config in (exact, Configuration.from_coords(coords, float_backend())):
+            pts = [config.points[i] for i in convex_position_order(config)]
+            for k in range(len(pts)):
+                five = [pts[(k + t) % len(pts)] for t in range(5)]
+                assert not conic_through_5(five, config.backend).degenerate
+
+    def test_both_backends_flag_the_singular_matrices(self):
+        for coeffs in product(range(-1, 2), repeat=6):
+            if any(coeffs):
+                singular = conic_matrix_det(*coeffs) == 0
+                assert Conic.from_coeffs(coeffs, EXACT).degenerate == singular
+                floats = [float(v) for v in coeffs]
+                assert Conic.from_coeffs(floats, float_backend()).degenerate == singular
+
+    def test_float_line_pair(self):
+        # (x - y)(x + 2y) = x^2 + xy - 2y^2
+        assert Conic.from_coeffs([1.0, 1.0, -2.0, 0.0, 0.0, 0.0], float_backend()).degenerate
+
+    def test_float_rule_has_no_absolute_floor(self):
+        # the unit circle about (1e6, 0): its determinant is -1, 1e-36 of
+        # its coefficient norm cubed, and still nonzero
+        circle = [1.0, 0.0, 1.0, -2e6, 0.0, 1e12 - 1]
+        assert not Conic.from_coeffs(circle, float_backend()).degenerate
+        assert not Conic.from_coeffs([int(v) for v in circle], EXACT).degenerate
 
 
 class TestMembership:

@@ -16,6 +16,7 @@ from slopespectra import (
     Configuration,
     ConicGroup,
     EXACT,
+    Point,
     Refutation,
     Stage,
     apply_affine,
@@ -141,6 +142,20 @@ class TestCertificates:
         img = apply_affine(gon_minus(m, seed % m), random_affine_map(seed))
         assert isinstance(verify_theorem(img), Certificate)
 
+    @pytest.mark.parametrize("seed", [111, 412, 446, 631, 758])
+    def test_affine_images_of_15_of_16_gon_certify(self, seed):
+        # the conic through their first five hull points is degenerate by an
+        # absolute tolerance on its rounded coefficients, not on its exact kernel
+        img = apply_affine(gon_minus(16), random_affine_map(seed, 5))
+        assert isinstance(verify_theorem(img), Certificate)
+
+    def test_degeneracy_does_not_depend_on_scale(self):
+        five = gon_minus(16).points[:5]
+        flags = {conic_through_5([Point(10.0 ** k * p.x, 10.0 ** k * p.y) for p in five],
+                                 float_backend()).degenerate
+                 for k in range(-6, 10)}
+        assert flags == {False}
+
     def test_127_of_128_gon_certifies(self):
         # double-and-add multiples of the generator piled up rounding past
         # eps here; one group step per input point does not accumulate it
@@ -236,6 +251,15 @@ class TestRefutations:
         cfg = apply_affine(gon_minus(12, 3), AffineMap(((1e-6, 0.0), (0.0, 1e-6)), (0.0, 0.0)))
         assert convex_position_order(cfg) == convex_position_order(gon_minus(12, 3))
         assert getattr(verify_theorem(cfg), "stage", None) != Stage.CONVEX_POSITION
+
+    @pytest.mark.parametrize("linear,shift", [(1e-6, 0.0), (1e3, 0.0), (1.0, 1e3)],
+                             ids=["scale-1e-6", "scale-1e3", "shift-1e3"])
+    def test_scaled_polygon_certifies(self, linear, shift):
+        # degeneracy is decided on the exact conic kernel, so no absolute
+        # tolerance floor refutes an image of the 11-of-12-gon at Coconic
+        T = AffineMap(((linear, 0.0), (0.0, linear)), (shift, shift))
+        v = verify_theorem(apply_affine(gon_minus(12, 3), T))
+        assert isinstance(v, Certificate), v
 
     def test_slope_count_witness_rechecks(self):
         cfg = regular_polygon(8)
